@@ -2,7 +2,7 @@
 
 One subcommand per analysis; reports go to stdout or --out as text or
 canonical JSON.  Exit codes: 0 success, 1 usage or malformed input,
-2 computation error, 3 capacity error.
+2 computation error, 3 capacity error, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .complexes import (
     simplex_distance,
 )
 from .dynamics import lax_deform, trajectory_csv
-from .errors import CapacityError, ComputationError, DiracGraphError
+from .errors import CapacityError, ComputationError, ConsistencyError, DiracGraphError
 from .jsonutil import canonical_json, fraction_str
 from .operators import build_operators
 from .spectra import (
@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTATION = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _seed(args) -> int:
@@ -373,6 +374,9 @@ def main(argv=None) -> int:
     except ComputationError as e:
         print(f"computation error: {e}", file=sys.stderr)
         return EXIT_COMPUTATION
+    except ConsistencyError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except DiracGraphError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,7 @@ def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray, rtol: float =
     jnorm = float(np.linalg.norm(values))
     if knorm > rtol * max(jnorm, 1e-300):
         raise UnsolvableError(knorm)
-    inv = np.where(eigs < cut, 0.0, np.divide(1.0, eigs, where=eigs >= cut))
+    inv = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs >= cut)
     return Cochain(k, vecs @ (inv * coeffs))
 
 
@@ -85,7 +85,7 @@ def wave_evolve(ops: Operators, w: WaveState, t: float) -> WaveState:
     positive = eigs >= cut
     cos_t = np.cos(omega * t)
     sin_t = np.sin(omega * t)
-    sinc = np.where(positive, np.divide(sin_t, omega, where=positive), t)
+    sinc = np.divide(sin_t, omega, out=np.full_like(omega, t), where=positive)
     u_t = cos_t * u_hat + sinc * v_hat
     v_t = np.where(positive, -omega * sin_t, 0.0) * u_hat + np.where(positive, cos_t, 1.0) * v_hat
     return WaveState(u=Cochain(k, vecs @ u_t), v=Cochain(k, vecs @ v_t))

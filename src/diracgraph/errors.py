@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: bad input 1, computation errors 2,
-capacity errors 3.
+capacity errors 3, internal errors (ConsistencyError, a bug) 4.
 """
 
 

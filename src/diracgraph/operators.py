@@ -1,10 +1,16 @@
 """Exterior derivative blocks, the Dirac matrix and the Laplacian.
 
-Everything here is exact integer arithmetic; floating point only enters
-once a caller eigendecomposes the results.  The block d_k maps functions
-on k-simplices to functions on (k+1)-simplices with the alternating sign
-rule; stacking the blocks below the diagonal gives d with d^2 = 0, and
-D = d + d^T squares to the block-diagonal Laplace-Beltrami operator.
+The block d_k maps functions on k-simplices to functions on
+(k+1)-simplices with the alternating sign rule; stacking the blocks below
+the diagonal gives d with d^2 = 0, and D = d + d^T squares to the
+block-diagonal Laplace-Beltrami operator with blocks
+L_k = d_{k-1} d_{k-1}^T + d_k^T d_k.
+
+Only the blocks d_k and L_k are stored.  The dense v x v matrices d, D and
+L are built from them on first read.  Every stored matrix is an exact
+int64 integer matrix.  The block products run in float64, which is exact
+for these integers (each entry is bounded by a block dimension, far below
+2^53); floating point is otherwise left to callers that eigendecompose.
 """
 
 from __future__ import annotations
@@ -45,21 +51,22 @@ def exterior_derivative(
 class Operators:
     """The assembled operator family of one complex and orientation.
 
+    Only the blocks are stored; the dense v x v matrices are built from
+    them on first read and cached.
+
     Attributes
     ----------
-    dblocks : the signed incidence matrices d_0, d_1, ...
-    d       : v x v strictly lower-block-triangular exterior derivative
-    dirac   : D = d + d^T
-    laplacian / lap_blocks : L = D^2 and its per-degree diagonal blocks
-    parity  : +-1 vector, +1 on even-dimensional simplices
+    dblocks    : the signed incidence matrices d_0, d_1, ...
+    lap_blocks : the diagonal blocks L_k = d_{k-1} d_{k-1}^T + d_k^T d_k
+    parity     : +-1 vector, +1 on even-dimensional simplices
+    d          : (lazy) v x v strictly lower-block-triangular exterior derivative
+    dirac      : (lazy) D = d + d^T
+    laplacian  : (lazy) L = D^2, block diagonal with blocks lap_blocks
     """
 
     complex: CliqueComplex
     orientation: OrientationAssignment
     dblocks: tuple[np.ndarray, ...]
-    d: np.ndarray
-    dirac: np.ndarray
-    laplacian: np.ndarray
     lap_blocks: tuple[np.ndarray, ...]
     parity: np.ndarray
 
@@ -74,6 +81,26 @@ class Operators:
     def block_slice(self, k: int) -> slice:
         start = self.complex.offsets[k]
         return slice(start, start + self.complex.count(k))
+
+    def _dense(self, blocks) -> np.ndarray:
+        """v x v int64 matrix holding each (row stratum, column stratum, block)."""
+        m = np.zeros((self.v, self.v), dtype=np.int64)
+        for r, c, blk in blocks:
+            m[self.block_slice(r), self.block_slice(c)] = blk
+        return m
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return self._dense((k + 1, k, b) for k, b in enumerate(self.dblocks))
+
+    @cached_property
+    def dirac(self) -> np.ndarray:
+        lower = [(k + 1, k, b) for k, b in enumerate(self.dblocks)]
+        return self._dense(lower + [(c, r, b.T) for r, c, b in lower])
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return self._dense((k, k, b) for k, b in enumerate(self.lap_blocks))
 
     @cached_property
     def dirac_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -94,36 +121,29 @@ def parity_vector(c: CliqueComplex) -> np.ndarray:
 def build_operators(
     c: CliqueComplex, orientation: OrientationAssignment | None = None
 ) -> Operators:
-    """Assemble d, D = d + d^T and L = D^2, verifying the block structure."""
+    """Assemble the blocks d_k and L_k, verifying d_{k+1} d_k = 0."""
     o = orientation or OrientationAssignment()
-    v = c.v
     dblocks = tuple(exterior_derivative(c, o, k) for k in range(max(c.top_dim, 0)))
-    d = np.zeros((v, v), dtype=np.int64)
-    for k, blk in enumerate(dblocks):
-        rs, cs = c.offsets[k + 1], c.offsets[k]
-        d[rs : rs + blk.shape[0], cs : cs + blk.shape[1]] = blk
-    dirac = d + d.T
-    lap = dirac @ dirac
-    blocks = []
+    # float64 BLAS products are exact here: every entry of a product is an
+    # integer bounded by the block's inner dimension, far below 2^53
+    fblocks = [b.astype(float) for b in dblocks]
+    for k in range(len(fblocks) - 1):
+        # a violation is an assembly bug, never a property of the input graph
+        if (fblocks[k + 1] @ fblocks[k]).any():
+            raise ConsistencyError(f"d_{k + 1} d_{k} != 0 (d^2 != 0)")
+    lap_blocks = []
     for k in range(len(c.strata)):
-        s = slice(c.offsets[k], c.offsets[k] + c.count(k))
-        blocks.append(lap[s, s].copy())
-    # d.d = 0 is equivalent to L having no off-stratum entries; a violation
-    # here is an assembly bug, never a property of the input graph
-    check = lap.copy()
-    for k in range(len(c.strata)):
-        s = slice(c.offsets[k], c.offsets[k] + c.count(k))
-        check[s, s] = 0
-    if check.any():
-        raise ConsistencyError("Laplacian has nonzero off-stratum blocks (d^2 != 0)")
+        lap = np.zeros((c.count(k), c.count(k)))
+        if k > 0:
+            lap += fblocks[k - 1] @ fblocks[k - 1].T
+        if k < len(fblocks):
+            lap += fblocks[k].T @ fblocks[k]
+        lap_blocks.append(lap.astype(np.int64))
     return Operators(
         complex=c,
         orientation=o,
         dblocks=dblocks,
-        d=d,
-        dirac=dirac,
-        laplacian=lap,
-        lap_blocks=tuple(blocks),
+        lap_blocks=tuple(lap_blocks),
         parity=parity_vector(c),
     )
 
@@ -151,7 +171,8 @@ def simplex_degree(ops: Operators, p: int, x: int) -> int:
 def path_count(ops: Operators, x: int, y: int, k: int) -> int:
     """Number of length-k paths between simplices x and y in the simplex graph.
 
-    Exact: powers of |D| are taken over Python integers.
+    Exact: the row vector e_x is multiplied by |D| k times over Python
+    integers, O(k v^2) work.
     """
     if k < 0:
         raise ValueError("path length must be nonnegative")
@@ -159,10 +180,11 @@ def path_count(ops: Operators, x: int, y: int, k: int) -> int:
     if not (0 <= x < v and 0 <= y < v):
         raise IndexError("simplex index out of range")
     adj = np.abs(ops.dirac).astype(object)
-    power = np.eye(v, dtype=object)
+    walks = np.zeros(v, dtype=object)
+    walks[x] = 1
     for _ in range(k):
-        power = power @ adj
-    return int(power[x, y])
+        walks = walks @ adj
+    return int(walks[y])
 
 
 def matrix_to_json(m: np.ndarray) -> str:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from diracgraph import ConsistencyError, cli
 from diracgraph.cli import main
 from diracgraph.jsonutil import canonical_json
 
@@ -191,6 +192,17 @@ def test_exit_code_capacity_error(tmp_path, capsys):
     big.write_text("\n".join(f"{i} {i+1}" for i in range(11)) + "\n")
     code, _, _ = run(capsys, "lefschetz", str(big))
     assert code == 3
+
+
+def test_exit_code_internal_error(example_file, capsys, monkeypatch):
+    def broken(args):
+        raise ConsistencyError("d_1 d_0 != 0")
+
+    monkeypatch.setitem(cli.COMMANDS, "cohomology", broken)
+    code, out, err = run(capsys, "cohomology", example_file)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: d_1 d_0 != 0\n"
 
 
 def test_out_file(example_file, tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_wave_matches_schrodinger(example_ops):
     v0 = _random_cochain(ops, k, 8)
     # psi = u0 - i D+ v0 evolved by e^{iDt} reproduces the wave solution
     eigs, vecs = ops.dirac_eigensystem
-    inv = np.where(np.abs(eigs) > 1e-9, np.divide(1.0, eigs, where=np.abs(eigs) > 1e-9), 0.0)
+    inv = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=np.abs(eigs) > 1e-9)
     s = ops.block_slice(k)
     u_full = np.zeros(ops.v)
     v_full = np.zeros(ops.v)

@@ -14,6 +14,7 @@ import pytest
 
 from diracgraph import (
     ConsistencyError,
+    example_graph,
     OrientationAssignment,
     SimpleGraph,
     build_complex,
@@ -26,7 +27,16 @@ from diracgraph import (
     path_count,
     simplex_degree,
 )
-from conftest import erdos_renyi
+from diracgraph import operators
+from conftest import erdos_renyi, octahedron
+
+# the conftest graphs the block assembly is checked on
+ASSEMBLY_GRAPHS = {
+    "example": example_graph,
+    "k5": lambda: SimpleGraph.complete(5),
+    "octahedron": octahedron,
+    "er": lambda: erdos_renyi(9, 0.5, random.Random(7)),
+}
 
 # the worked example's orderings, relative to ours (dimension-major,
 # lexicographic): edge rows 0,1 and 2,3 are swapped; triangles flipped
@@ -126,6 +136,21 @@ def test_d_squared_zero_and_block_structure():
             assert not (ops.dblocks[k + 1] @ blk).any()
 
 
+@pytest.mark.parametrize("name", ASSEMBLY_GRAPHS)
+def test_block_assembly_matches_dirac_squared(name):
+    ops = operators_for(ASSEMBLY_GRAPHS[name]())
+    square = ops.dirac @ ops.dirac  # the reference: L = D^2 in int64
+    assert len(ops.lap_blocks) == len(ops.complex.strata)
+    off = ops.laplacian.copy()
+    for k, blk in enumerate(ops.lap_blocks):
+        s = ops.block_slice(k)
+        assert blk.dtype == np.int64
+        assert np.array_equal(blk, square[s, s])
+        off[s, s] = 0
+    assert not off.any()  # L is block diagonal
+    assert np.array_equal(ops.laplacian, square)
+
+
 def test_dblock_row_support():
     c = build_complex(SimpleGraph.complete(4))
     for k in range(c.top_dim):
@@ -203,6 +228,13 @@ def test_path_count():
     assert path_count(k2, 0, 0, 0) == 1
     assert path_count(k2, 0, 1, 0) == 0
     assert path_count(k2, 0, 0, 2) == 1  # out to the edge simplex and back
+    ops = operators_for(example_graph())
+    adj = np.abs(ops.dirac).astype(object)
+    for k in range(7):
+        power = np.linalg.matrix_power(adj, k)
+        for x in range(ops.v):
+            for y in range(ops.v):
+                assert path_count(ops, x, y, k) == power[x, y]
     ops = operators_for(SimpleGraph.cycle(4))
     # odd closed signed powers vanish identically
     d5 = np.linalg.matrix_power(ops.dirac.astype(object), 5)
@@ -227,7 +259,15 @@ def test_matrix_exports(example_ops):
     assert matrix_to_text(m) == "3 1\n1 3"
 
 
-def test_consistency_error_is_internal():
-    # not reachable through the public API; exercise the guard directly
+def test_consistency_error_on_corrupt_block(monkeypatch):
+    exact = operators.exterior_derivative
+
+    def corrupt(c, o, k):
+        d = exact(c, o, k)
+        if k == 1:
+            d[0, 0] += 1  # one wrong sign breaks d_1 d_0 = 0
+        return d
+
+    monkeypatch.setattr(operators, "exterior_derivative", corrupt)
     with pytest.raises(ConsistencyError):
-        raise ConsistencyError("drill")
+        build_operators(build_complex(example_graph()))
