@@ -13,7 +13,6 @@ from .complexes import (
     OrientationAssignment,
     SimpleGraph,
     build_complex,
-    clique_polynomial,
     euler_characteristic,
     example_graph,
     graph_euler_characteristic,

@@ -69,6 +69,7 @@ def cmd_analyze(args):
     eigs = ops.dirac_eigensystem[0]
     cut = hodge.kernel_cut(eigs, args.tol)
     pdet = pseudo_det(ops.dirac, args.tol)
+    torsion = analytic_torsion(ops, args.tol)
     report = {
         "v": list(c.counts),
         "chi": euler_characteristic(c),
@@ -77,15 +78,14 @@ def cmd_analyze(args):
         "kernelDim": int(np.sum(np.abs(eigs) <= cut)),
         "diracPseudoDeterminant": pdet,
         "characteristicPolynomial": charpoly_int(ops.dirac),
-        "analyticTorsion": analytic_torsion(ops, args.tol),
+        "analyticTorsion": torsion,
         "invariants": [
             invariant_report("Det(D)^2 = Det(L)", pdet ** 2,
                              pseudo_det(ops.laplacian, args.tol), 1e-6),
             invariant_report("zeta(-2) = tr(L)",
                              float(dirac_zeta(ops, -2, args.tol).value.real),
                              float(np.trace(ops.laplacian)), 1e-8),
-            invariant_report("analytic torsion = 1",
-                             analytic_torsion(ops, args.tol), 1.0, 1e-8),
+            invariant_report("analytic torsion = 1", torsion, 1.0, 1e-8),
         ],
     }
     lines = [

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EdgeListError, GraphMismatchError
+from .errors import ComputationError, EdgeListError, GraphMismatchError
 
 Simplex = tuple[int, ...]
 
@@ -271,11 +271,6 @@ def build_complex(g: SimpleGraph, max_dim: int | None = None) -> CliqueComplex:
     return CliqueComplex(host=g, strata=tuple(strata), index=index, offsets=tuple(offsets))
 
 
-def clique_polynomial(c: CliqueComplex) -> tuple[int, ...]:
-    """Coefficients (v_0, v_1, ...) of the clique polynomial."""
-    return c.counts
-
-
 def euler_characteristic(c: CliqueComplex) -> int:
     """Alternating sum of the clique counts, i.e. the value v(-1)."""
     return sum((-1) ** k * n for k, n in enumerate(c.counts))
@@ -336,6 +331,8 @@ def simplex_distance(g: SimpleGraph, h: SimpleGraph) -> Fraction:
             "graphs are incomparable: vertex lists differ "
             f"({g.vertices} vs {h.vertices})"
         )
+    if g.n == 0:
+        raise ComputationError("simplex distance of two empty graphs is undefined (no simplices)")
     total = 2 ** g.n - 1
     sg = set(build_complex(g).simplices)
     sh = set(build_complex(h).simplices)

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, takewhile
 from typing import Mapping, Sequence
 
 from .complexes import SimpleGraph, build_complex, graph_euler_characteristic
@@ -108,36 +108,29 @@ def index_expectation(
         raise ValueError(f"unknown vertex {x}")
     chi = _sphere_chi_cache(g, x)
     neighbors = g.adjacency[x]
+
+    def index_of(order) -> int:
+        below = frozenset(y for y in takewhile(lambda y: y != x, order) if y in neighbors)
+        return 1 - chi[below]
+
     if mode == "exact":
         if g.n > EXACT_EXPECTATION_CAP:
             raise CapacityError(
                 f"exact index expectation enumerates |V|! orderings; "
                 f"{g.n} vertices exceeds the cap of {EXACT_EXPECTATION_CAP}"
             )
-        total = 0
-        for order in permutations(g.vertices):
-            below = []
-            for y in order:
-                if y == x:
-                    break
-                if y in neighbors:
-                    below.append(y)
-            total += 1 - chi[frozenset(below)]
+        total = sum(index_of(order) for order in permutations(g.vertices))
         return Fraction(total, math.factorial(g.n))
     if mode == "montecarlo":
+        if samples < 1:
+            raise ValueError(f"montecarlo mode needs at least one sample, got {samples}")
         rng = random.Random(seed)
         verts = list(g.vertices)
         values = []
         for _ in range(samples):
             order = verts[:]
             rng.shuffle(order)
-            below = []
-            for y in order:
-                if y == x:
-                    break
-                if y in neighbors:
-                    below.append(y)
-            values.append(1 - chi[frozenset(below)])
+            values.append(index_of(order))
         mean = sum(values) / samples
         var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
         return MonteCarloEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples)
@@ -196,23 +189,26 @@ class ContractionResult:
     contractible: bool | None  # None means the greedy reduction is inconclusive
 
 
+def _greedy_reduce(g: SimpleGraph, memo: dict) -> tuple[SimpleGraph, list[int]]:
+    """Remove the first vertex with a greedily contractible sphere until none is left."""
+    current = g
+    steps: list[int] = []
+    while current.n > 1:
+        removable = next(
+            (x for x in current.vertices if _greedy_contractible(unit_sphere(current, x), memo)),
+            None,
+        )
+        if removable is None:
+            break
+        steps.append(removable)
+        current = current.induced(v for v in current.vertices if v != removable)
+    return current, steps
+
+
 def _greedy_contractible(g: SimpleGraph, memo: dict) -> bool:
     key = (g.vertices, g.edges)
-    if key in memo:
-        return memo[key]
-    memo[key] = False  # guard against re-entry; overwritten below
-    current = g
-    while current.n > 1:
-        removable = None
-        for x in current.vertices:
-            if _greedy_contractible(unit_sphere(current, x), memo):
-                removable = x
-                break
-        if removable is None:
-            memo[key] = False
-            return False
-        current = current.induced(v for v in current.vertices if v != removable)
-    memo[key] = current.n == 1
+    if key not in memo:
+        memo[key] = _greedy_reduce(g, memo)[0].n == 1
     return memo[key]
 
 
@@ -224,19 +220,7 @@ def contract(g: SimpleGraph) -> ContractionResult:
     (a component count above one or a positive higher Betti number)
     certifies the graph non-contractible.
     """
-    memo: dict = {}
-    current = g
-    steps: list[int] = []
-    while current.n > 1:
-        removable = None
-        for x in current.vertices:
-            if _greedy_contractible(unit_sphere(current, x), memo):
-                removable = x
-                break
-        if removable is None:
-            break
-        steps.append(removable)
-        current = current.induced(v for v in current.vertices if v != removable)
+    current, steps = _greedy_reduce(g, {})
     if current.n <= 1:
         verdict = True if current.n == 1 else None  # empty input stays undecided
         return ContractionResult(current, tuple(steps), verdict)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import euler_characteristic
 from .operators import Operators
 
 KERNEL_TOL = 1e-9
@@ -133,8 +134,7 @@ def heat_kernel(ops: Operators, t: float) -> np.ndarray:
 
 def euler_poincare_check(ops: Operators, tol: float = KERNEL_TOL) -> dict[str, int]:
     """v(-1) and p(-1); the Euler-Poincare formula makes them equal."""
-    counts = ops.complex.counts
-    chi_comb = sum((-1) ** k * n for k, n in enumerate(counts))
+    chi_comb = euler_characteristic(ops.complex)
     chi_coh = sum((-1) ** k * b for k, b in enumerate(betti_numbers(ops, tol)))
     return {"chiCombinatorial": chi_comb, "chiCohomological": chi_coh}
 
@@ -145,7 +145,7 @@ def cohomology_report(ops: Operators, tol: float = KERNEL_TOL) -> dict:
     return {
         "v": list(ops.complex.counts),
         "betti": list(b),
-        "chi": sum((-1) ** k * n for k, n in enumerate(ops.complex.counts)),
+        "chi": euler_characteristic(ops.complex),
         "spectrumByDegree": {
             str(k): [float(x) for x in ops.block_eigensystems[k][0]]
             for k in range(len(ops.complex.strata))

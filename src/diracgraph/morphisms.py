@@ -176,14 +176,22 @@ def lefschetz(ops: Operators, t: GraphMap, tol: float = KERNEL_TOL) -> Lefschetz
 def lefschetz_zeta(
     ops: Operators, t: GraphMap, z: complex, order: int = 40, tol: float = KERNEL_TOL
 ) -> complex:
-    """Truncated zeta function exp(sum_{n<=order} L(T^n) z^n / n)."""
+    """Truncated zeta function exp(sum_{n<=order} L(T^n) z^n / n).
+
+    L(T^n) is periodic in n with the period of T, so only the powers in one
+    period (at most ``order`` of them) are passed to lefschetz.
+    """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
     if abs(z) >= 1:
         raise ValueError("the series requires |z| < 1")
-    total = 0j
-    power = dict(zip(ops.complex.host.vertices, ops.complex.host.vertices))
-    for n in range(1, order + 1):
+    identity = dict(zip(ops.complex.host.vertices, ops.complex.host.vertices))
+    period = []
+    power = identity
+    while len(period) < order:
         power = compose(t, power)
-        total += lefschetz(ops, power, tol).lefschetz * z ** n / n
+        period.append(lefschetz(ops, power, tol).lefschetz)
+        if power == identity:
+            break
+    total = sum((period[(n - 1) % len(period)] * z ** n / n for n in range(1, order + 1)), 0j)
     return complex(np.exp(total))

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import CliqueComplex, OrientationAssignment, build_complex, SimpleGraph
+from .complexes import CliqueComplex, OrientationAssignment, SimpleGraph, build_complex, simplex_graph
 from .errors import ConsistencyError
 
 
@@ -171,20 +171,20 @@ def simplex_degree(ops: Operators, p: int, x: int) -> int:
 def path_count(ops: Operators, x: int, y: int, k: int) -> int:
     """Number of length-k paths between simplices x and y in the simplex graph.
 
-    Exact: the row vector e_x is multiplied by |D| k times over Python
-    integers, O(k v^2) work.
+    Exact: walk counts from x are pushed k times over Python integers along
+    the simplex graph's adjacency, which is the support of D.
     """
     if k < 0:
         raise ValueError("path length must be nonnegative")
     v = ops.v
     if not (0 <= x < v and 0 <= y < v):
         raise IndexError("simplex index out of range")
-    adj = np.abs(ops.dirac).astype(object)
-    walks = np.zeros(v, dtype=object)
+    adj = simplex_graph(ops.complex).adjacency
+    walks = [0] * v
     walks[x] = 1
     for _ in range(k):
-        walks = walks @ adj
-    return int(walks[y])
+        walks = [sum(walks[u] for u in adj[w]) for w in range(v)]
+    return walks[y]
 
 
 def matrix_to_json(m: np.ndarray) -> str:

@@ -88,14 +88,8 @@ def kirchhoff_trees(g: SimpleGraph) -> int:
 
 
 def simplex_graph_trees(c: CliqueComplex) -> int:
-    """Spanning trees of the simplex graph, via Det(B - |D|)/v."""
-    sg = simplex_graph(c)
-    if not sg.is_connected():
-        raise ComputationError("simplex graph is disconnected")
-    ops = build_operators(c)
-    adj = np.abs(ops.dirac).astype(float)
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return round(pseudo_det(lap) / c.v)
+    """Spanning trees of the simplex graph, whose adjacency matrix is |D|."""
+    return kirchhoff_trees(simplex_graph(c))
 
 
 def _det_int(rows: list[list[int]]) -> int:
@@ -174,39 +168,31 @@ class ZetaEvaluation:
     branch: str = "negative-axis phase e^(-i pi s)"
 
 
-def _dirac_eigs(source) -> np.ndarray:
-    if isinstance(source, Operators):
-        return source.dirac_eigensystem[0]
-    m = np.asarray(source, dtype=float)
-    return np.linalg.eigvalsh(m)
-
-
-def dirac_zeta(source, s: complex, tol: float = KERNEL_TOL) -> ZetaEvaluation:
-    """Dirac zeta function: sum over nonzero eigenvalues of lambda^(-s)."""
-    eigs = _dirac_eigs(source)
-    s = complex(s)
+def _zeta(eigs: np.ndarray, s: complex, tol: float) -> complex:
+    """Sum of lambda^(-s) over the nonzero eigenvalues, negative ones by the branch above."""
     cut = kernel_cut(eigs, tol) if eigs.size else 0.0
     pos = eigs[eigs > cut]
     neg = -eigs[eigs < -cut]
     value = complex(np.sum(pos ** (-s))) if pos.size else 0j
     if neg.size:
         value += np.exp(-1j * np.pi * s) * complex(np.sum(neg ** (-s)))
-    return ZetaEvaluation(s=s, value=value)
+    return value
 
 
-def zeta_derivative_at_zero(source, h: float = 1e-5, tol: float = KERNEL_TOL) -> complex:
+def dirac_zeta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> ZetaEvaluation:
+    """Dirac zeta function: sum over nonzero eigenvalues of lambda^(-s).
+
+    Takes an Operators and reads D's spectrum from its dirac_eigensystem.
+    """
+    s = complex(s)
+    return ZetaEvaluation(s=s, value=_zeta(ops.dirac_eigensystem[0], s, tol))
+
+
+def zeta_derivative_at_zero(ops: Operators, h: float = 1e-5, tol: float = KERNEL_TOL) -> complex:
     """Central finite difference of the Dirac zeta function at s = 0."""
-    plus = dirac_zeta(source, h, tol).value
-    minus = dirac_zeta(source, -h, tol).value
+    plus = dirac_zeta(ops, h, tol).value
+    minus = dirac_zeta(ops, -h, tol).value
     return (plus - minus) / (2 * h)
-
-
-def zeta_psd(eigs: np.ndarray, s: complex, tol: float = KERNEL_TOL) -> complex:
-    """Zeta function of a positive semidefinite spectrum."""
-    eigs = np.asarray(eigs, dtype=float)
-    cut = kernel_cut(eigs, tol) if eigs.size else 0.0
-    nonzero = eigs[eigs > cut]
-    return complex(np.sum(nonzero ** (-complex(s)))) if nonzero.size else 0j
 
 
 def eta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> complex:
@@ -217,7 +203,7 @@ def eta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> complex:
     """
     total = 0j
     for p in range(len(ops.complex.strata)):
-        total += (-1) ** p * zeta_psd(ops.block_eigensystems[p][0], s, tol)
+        total += (-1) ** p * _zeta(ops.block_eigensystems[p][0], complex(s), tol)
     return total
 
 

@@ -16,7 +16,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from diracgraph import SimpleGraph, build_complex, example_graph, operators_for
+from diracgraph import (
+    SimpleGraph,
+    build_complex,
+    compose,
+    example_graph,
+    lefschetz,
+    operators_for,
+)
 
 
 @pytest.fixture(scope="session")
@@ -177,3 +184,56 @@ def automorphisms_brute(g: SimpleGraph) -> list[dict[int, int]]:
         if all(g.has_edge(t[u], t[v]) for u, v in g.edges):
             out.append(t)
     return out
+
+
+def det_fraction(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Q (exact)."""
+    a = [[Fraction(int(x)) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                factor = a[i][k] / a[k][k]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def simplex_graph_trees_exact(g: SimpleGraph) -> int:
+    """Spanning trees of the simplex graph by the matrix-tree theorem over Q.
+
+    The simplex graph joins each brute-force clique to its codimension-1
+    faces; its count is the exact determinant of the Laplacian with the
+    first row and column deleted.
+    """
+    cliques = brute_cliques(g)
+    index = {s: i for i, s in enumerate(cliques)}
+    lap = [[0] * len(cliques) for _ in cliques]
+    for y in cliques:
+        for x in combinations(y, len(y) - 1):
+            if x:
+                i, j = index[x], index[y]
+                lap[i][j] -= 1
+                lap[j][i] -= 1
+                lap[i][i] += 1
+                lap[j][j] += 1
+    det = det_fraction([row[1:] for row in lap[1:]])
+    assert det.denominator == 1
+    return int(det)
+
+
+def lefschetz_zeta_power_loop(ops, t, z, order=40):
+    """The truncated Lefschetz zeta with L(T^n) computed for every n <= order."""
+    total = 0j
+    power = dict(zip(ops.complex.host.vertices, ops.complex.host.vertices))
+    for n in range(1, order + 1):
+        power = compose(t, power)
+        total += lefschetz(ops, power).lefschetz * z ** n / n
+    return complex(np.exp(total))

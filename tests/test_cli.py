@@ -185,6 +185,11 @@ def test_exit_code_computation_error(tmp_path, capsys):
     code, _, err = run(capsys, "magnitude", str(disc))
     assert code == 2
     assert "disconnected" in err
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    code, out, err = run(capsys, "distance", str(empty), str(empty))
+    assert (code, out) == (2, "")
+    assert err.startswith("computation error:") and err.count("\n") == 1
 
 
 def test_exit_code_capacity_error(tmp_path, capsys):

@@ -8,11 +8,11 @@ from itertools import combinations, permutations
 import pytest
 
 from diracgraph import (
+    ComputationError,
     EdgeListError,
     GraphMismatchError,
     SimpleGraph,
     build_complex,
-    clique_polynomial,
     euler_characteristic,
     example_graph,
     parse_edge_list,
@@ -103,7 +103,7 @@ def test_global_index_is_dimension_major_lexicographic(example):
 
 
 def test_clique_polynomial_and_chi(example):
-    assert clique_polynomial(build_complex(example)) == (7, 9, 2)
+    assert build_complex(example).counts == (7, 9, 2)  # clique-polynomial coefficients
     assert euler_characteristic(build_complex(example)) == 0
     assert euler_characteristic(build_complex(SimpleGraph.complete(3))) == 1
     assert build_complex(octahedron()).counts == (6, 12, 8)
@@ -173,6 +173,8 @@ def test_simplex_distance_examples():
 def test_simplex_distance_requires_shared_vertices():
     with pytest.raises(GraphMismatchError):
         simplex_distance(SimpleGraph([1, 2], []), SimpleGraph([1, 3], []))
+    with pytest.raises(ComputationError):
+        simplex_distance(SimpleGraph([], []), SimpleGraph([], []))
 
 
 def test_parse_edge_list_round_trip(example):

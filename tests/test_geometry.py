@@ -133,6 +133,8 @@ def test_index_expectation_montecarlo():
     assert abs(est.mean - 0) <= 5 * est.stderr + 1e-12
     est2 = index_expectation(g, 1, mode="montecarlo", samples=4000, seed=11)
     assert est.mean == est2.mean  # deterministic for a fixed seed
+    with pytest.raises(ValueError):
+        index_expectation(g, 1, mode="montecarlo", samples=0)
 
 
 def test_dimension_values():

@@ -1,0 +1,103 @@
+"""Property tests on random graphs with at most six vertices, against oracles."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diracgraph import (
+    ComputationError,
+    SimpleGraph,
+    automorphisms,
+    build_complex,
+    contract,
+    dirac_zeta,
+    eta,
+    lefschetz_zeta,
+    operators_for,
+    path_count,
+    simplex_graph_trees,
+)
+from conftest import (
+    betti_exact,
+    lefschetz_zeta_power_loop,
+    simplex_graph_trees_exact,
+)
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def small_graphs(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(range(n), [e for e, k in zip(pairs, keep) if k])
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(), st.data())
+def test_path_count_matches_powers_of_abs_dirac(g, data):
+    ops = operators_for(g)
+    x = data.draw(st.integers(0, ops.v - 1))
+    adj = np.abs(ops.dirac)
+    for k in range(5):
+        power = np.linalg.matrix_power(adj, k)
+        assert [path_count(ops, x, y, k) for y in range(ops.v)] == power[x].tolist()
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs())
+def test_simplex_graph_trees_matches_exact_determinant(g):
+    c = build_complex(g)
+    if not g.is_connected():
+        with pytest.raises(ComputationError):
+            simplex_graph_trees(c)
+        return
+    exact = simplex_graph_trees_exact(g)
+    value = simplex_graph_trees(c)
+    if exact < 2 ** 53:
+        assert value == exact
+    else:
+        # float-rounded beyond 2^53 (ROADMAP item 1); see the strict xfail below
+        assert abs(value - exact) <= 1e-12 * exact
+
+
+@pytest.mark.xfail(strict=True, reason="tree counts are float-rounded beyond 2^53")
+def test_simplex_graph_trees_exact_beyond_float_range():
+    k5 = SimpleGraph.complete(5)
+    assert simplex_graph_trees(build_complex(k5)) == simplex_graph_trees_exact(k5)
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(), st.sampled_from([2, 1.5, 0.5 + 1j, -3]))
+def test_eta_vanishes_and_zeta_at_minus_two_is_trace(g, s):
+    ops = operators_for(g)
+    scale = sum(float(np.sum(np.abs(e[e > 1e-6]) ** -np.real(s))) for e, _ in ops.block_eigensystems)
+    assert abs(eta(ops, s)) <= 1e-9 * (1 + scale)
+    trace = int(np.trace(ops.laplacian))
+    assert abs(dirac_zeta(ops, -2).value - trace) <= 1e-9 * max(1, trace)
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs())
+def test_contract_verdict_agrees_with_exact_betti_numbers(g):
+    result = contract(g)
+    b = betti_exact(g)
+    point = [1] + [0] * (len(b) - 1)
+    if result.contractible is not None:
+        assert result.contractible == (b == point)
+    # removing a vertex with a contractible unit sphere keeps the homotopy type
+    assert np.trim_zeros(betti_exact(result.reduced), "b") == np.trim_zeros(b, "b")
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(), st.data())
+def test_lefschetz_zeta_matches_every_power_loop(g, data):
+    ops = operators_for(g)
+    t = data.draw(st.sampled_from(automorphisms(g)))
+    z = data.draw(st.sampled_from([0.3, -0.5, 0.2 + 0.4j]))
+    order = data.draw(st.sampled_from([1, 3, 40]))
+    assert lefschetz_zeta(ops, t, z, order) == lefschetz_zeta_power_loop(ops, t, z, order)

@@ -110,6 +110,8 @@ def test_simplex_graph_trees():
     k3 = build_complex(SimpleGraph.complete(3))
     expected = spanning_trees_brute(simplex_graph(k3))
     assert simplex_graph_trees(k3) == expected
+    with pytest.raises(ComputationError):
+        simplex_graph_trees(build_complex(SimpleGraph([], [])))
 
 
 def test_cauchy_binet_identity():
