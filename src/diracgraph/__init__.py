@@ -97,6 +97,7 @@ from .spectra import (
     analytic_torsion,
     cauchy_binet_coeffs,
     charpoly_int,
+    dirac_charpoly,
     dirac_zeta,
     eta,
     invariant_report,

@@ -8,6 +8,7 @@ canonical JSON.  Exit codes: 0 success, 1 usage or malformed input,
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 
@@ -27,7 +28,7 @@ from .operators import build_operators
 from .spectra import (
     aligned_dirac_pair,
     analytic_torsion,
-    charpoly_int,
+    dirac_charpoly,
     dirac_zeta,
     invariant_report,
     kirchhoff_trees,
@@ -77,14 +78,14 @@ def cmd_analyze(args):
         "positiveDiracEigenvalues": [float(x) for x in eigs[eigs > cut]],
         "kernelDim": int(np.sum(np.abs(eigs) <= cut)),
         "diracPseudoDeterminant": pdet,
-        "characteristicPolynomial": charpoly_int(ops.dirac),
+        "characteristicPolynomial": dirac_charpoly(ops),
         "analyticTorsion": torsion,
         "invariants": [
             invariant_report("Det(D)^2 = Det(L)", pdet ** 2,
                              pseudo_det(ops.laplacian, args.tol), 1e-6),
             invariant_report("zeta(-2) = tr(L)",
                              float(dirac_zeta(ops, -2, args.tol).value.real),
-                             float(np.trace(ops.laplacian)), 1e-8),
+                             float(sum(np.trace(b) for b in ops.lap_blocks)), 1e-8),
             invariant_report("analytic torsion = 1", torsion, 1.0, 1e-8),
         ],
     }
@@ -174,6 +175,8 @@ def cmd_zeta(args):
         s = complex(args.s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {args.s!r}")
+    if not cmath.isfinite(s):
+        raise argparse.ArgumentTypeError("--s must be finite")
     z = dirac_zeta(ops, s, args.tol)
     report = {"s": z.s, "value": z.value, "branch": z.branch}
     return report, f"zeta({s}) = {z.value}"
@@ -348,12 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    if getattr(args, "tol", 1.0) <= 0:
-        raise argparse.ArgumentTypeError("--tol must be positive")
-    if getattr(args, "h", 1.0) <= 0:
-        raise argparse.ArgumentTypeError("--h must be positive")
-    if getattr(args, "T", 1.0) <= 0:
-        raise argparse.ArgumentTypeError("--T must be positive")
+    for name in ("tol", "h", "T"):
+        value = getattr(args, name, 1.0)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"--{name} must be positive")
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"--{name} must be finite")
+    if getattr(args, "z", None) is not None and not cmath.isfinite(args.z):
+        raise argparse.ArgumentTypeError("--z must be finite")
+    if getattr(args, "snapshot_every", 0) < 0:
+        raise argparse.ArgumentTypeError("--snapshot-every must be non-negative")
 
 
 def main(argv=None) -> int:
@@ -365,6 +372,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         report, text = COMMANDS[args.command](args)
+        output = canonical_json(report) if args.format == "json" and report is not None else text + "\n"
     except (argparse.ArgumentTypeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -380,7 +388,6 @@ def main(argv=None) -> int:
     except DiracGraphError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    output = canonical_json(report) if args.format == "json" and report is not None else text + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, exp, fsum, log
+from math import exp, fsum, log
+from numbers import Integral
 
 import numpy as np
 
@@ -21,35 +22,49 @@ from .errors import CapacityError, ComputationError, GraphMismatchError
 from .hodge import KERNEL_TOL, kernel_cut
 from .operators import Operators, build_operators
 
-MINOR_ENUMERATION_CAP = 1_000_000
-
 
 def charpoly_int(m) -> list[int]:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
-    Faddeev-LeVerrier over Python integers; every interior division is
-    exact.  Coefficients are returned in descending powers, leading 1.
+    Faddeev-LeVerrier over Python integers (object-dtype products); every
+    interior division is exact.  Coefficients are returned in descending
+    powers, leading 1.  Raises ValueError unless M is a square 2-D array of
+    integral entries; integral floats such as 2.0 are accepted.
     """
-    a = [[int(x) for x in row] for row in np.asarray(m)]
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"charpoly_int expects a square 2-D array, got shape {a.shape}")
+    entries = a.ravel().tolist()
+    if not all(isinstance(x, Integral) or isinstance(x, float) and x.is_integer() for x in entries):
+        raise ValueError("charpoly_int expects integral entries")
+    a = np.array([int(x) for x in entries], dtype=object).reshape(a.shape)
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    mk = np.eye(n, dtype=object)
     coeffs = [1]
     for k in range(1, n + 1):
-        am = [
-            [sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(am[i][i] for i in range(n))
-        if trace % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible (non-integer input?)")
-        c = -(trace // k)
+        mk = a @ mk
+        c = -(sum(mk.diagonal()) // k)
         coeffs.append(c)
-        for i in range(n):
-            am[i][i] += c
-        mk = am
+        mk.flat[:: n + 1] += c
     return coeffs
+
+
+def dirac_charpoly(ops: Operators) -> list[int]:
+    """Exact det(xI - D) in descending powers, from the blocks d_k alone.
+
+    The nonzero eigenvalues of D = d + d^T are +-sigma for the nonzero
+    singular values sigma of each d_k, so
+    det(xI - D) = x^(v - 2R) * prod_k q_k(x^2), where q_k is the
+    characteristic polynomial of the smaller Gram matrix of d_k with its
+    trailing zero coefficients dropped and R = sum_k deg q_k = rank d.
+    """
+    p = np.ones(1, dtype=object)
+    for b in ops.dblocks:
+        q = charpoly_int(b @ b.T if b.shape[0] <= b.shape[1] else b.T @ b)
+        p = np.convolve(p, np.trim_zeros(np.array(q, dtype=object), "b"))
+    coeffs = np.zeros(ops.v + 1, dtype=object)
+    coeffs[: 2 * len(p) - 1 : 2] = p
+    return coeffs.tolist()
 
 
 def pseudo_det(m: np.ndarray, tol: float = KERNEL_TOL) -> float:
@@ -92,38 +107,14 @@ def simplex_graph_trees(c: CliqueComplex) -> int:
     return kirchhoff_trees(simplex_graph(c))
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian (Bareiss) determinant of an integer matrix."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def cauchy_binet_coeffs(f, g, k: int):
-    """Sum of det(F_P) det(G_P) over all k x k row/column selections.
+    """Sum of det(F_P) det(G_P) over all k x k row/column selections P.
 
-    For n x m matrices F, G this equals the k-th elementary symmetric
-    function of the eigenvalues of F^T G, i.e. (-1)^(m-k) times the
-    x^(m-k) coefficient of det(F^T G - x I).  Integer inputs are summed
-    exactly.
+    For n x m matrices F, G this is the k-th elementary symmetric function
+    of the eigenvalues of F^T G, i.e. (-1)^k times the x^(m-k) coefficient
+    of det(xI - F^T G).  Integer inputs are exact: F^T G is formed over
+    Python ints and passed to charpoly_int.  Other inputs use np.poly in
+    floating point.
     """
     fa = np.asarray(f)
     ga = np.asarray(g)
@@ -132,21 +123,10 @@ def cauchy_binet_coeffs(f, g, k: int):
     n, m = fa.shape
     if not 0 <= k <= min(n, m):
         raise ValueError(f"minor size {k} out of range for shape {fa.shape}")
-    if comb(n, k) * comb(m, k) > MINOR_ENUMERATION_CAP:
-        raise CapacityError("too many minors to enumerate")
-    exact = np.issubdtype(fa.dtype, np.integer) and np.issubdtype(ga.dtype, np.integer)
-    total = 0 if exact else 0.0
-    for rows in combinations(range(n), k):
-        for cols in combinations(range(m), k):
-            if exact:
-                fp = [[int(fa[i, j]) for j in cols] for i in rows]
-                gp = [[int(ga[i, j]) for j in cols] for i in rows]
-                total += _det_int(fp) * _det_int(gp)
-            else:
-                sub_f = fa[np.ix_(rows, cols)].astype(float)
-                sub_g = ga[np.ix_(rows, cols)].astype(float)
-                total += float(np.linalg.det(sub_f) * np.linalg.det(sub_g))
-    return total
+    if np.issubdtype(fa.dtype, np.integer) and np.issubdtype(ga.dtype, np.integer):
+        return (-1) ** k * charpoly_int(fa.astype(object).T @ ga.astype(object))[k]
+    eigs = np.linalg.eigvals(fa.astype(float).T @ ga.astype(float))
+    return float((-1) ** k * np.atleast_1d(np.poly(eigs))[k])
 
 
 def invariant_report(name: str, lhs: float, rhs: float, tolerance: float) -> dict:

@@ -26,6 +26,11 @@ from diracgraph import (
 )
 
 
+# det(xI - D) of the worked example, in descending powers
+GOLDEN_CHARPOLY = [1, 0, -24, 0, 242, 0, -1334, 0, 4377, 0, -8706, 0,
+                   10187, 0, -6370, 0, 1624, 0, 0]
+
+
 @pytest.fixture(scope="session")
 def example():
     return example_graph()
@@ -204,6 +209,19 @@ def det_fraction(rows) -> Fraction:
                 factor = a[i][k] / a[k][k]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def cauchy_binet_minor_sum(f, g, k: int) -> int:
+    """Sum of det(F_P) det(G_P) over every k x k row/column selection P (exact)."""
+    f, g = np.asarray(f), np.asarray(g)
+    n, m = f.shape
+    total = Fraction(0)
+    for rows in combinations(range(n), k):
+        for cols in combinations(range(m), k):
+            sub = np.ix_(rows, cols)
+            total += det_fraction(f[sub]) * det_fraction(g[sub])
+    assert total.denominator == 1
+    return int(total)
 
 
 def simplex_graph_trees_exact(g: SimpleGraph) -> int:

@@ -7,6 +7,7 @@ import pytest
 from diracgraph import ConsistencyError, cli
 from diracgraph.cli import main
 from diracgraph.jsonutil import canonical_json
+from conftest import GOLDEN_CHARPOLY
 
 EXAMPLE_EDGES = "1 2\n2 3\n1 3\n3 4\n2 4\n3 5\n5 6\n4 6\n4 7\n"
 
@@ -47,7 +48,7 @@ def test_analyze_json_golden(example_file, capsys):
     assert report["chi"] == 0
     assert report["betti"] == [1, 1, 0]
     assert abs(report["diracPseudoDeterminant"] - 1624) < 1e-3
-    assert report["characteristicPolynomial"][2] == -24
+    assert report["characteristicPolynomial"] == GOLDEN_CHARPOLY
     assert all(inv["pass"] for inv in report["invariants"])
     assert {"name", "lhs", "rhs", "tolerance", "pass"} <= set(report["invariants"][0])
 
@@ -208,6 +209,32 @@ def test_exit_code_internal_error(example_file, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: d_1 d_0 != 0\n"
+
+
+@pytest.mark.parametrize("options", [
+    ["cohomology", "--tol", "nan"],
+    ["cohomology", "--tol", "inf"],
+    ["deform", "--T", "inf"],
+    ["deform", "--h", "nan"],
+    ["deform", "--T", "0.02", "--snapshot-every", "-1", "--snapshots", "{tmp}/snaps.json"],
+    ["zeta", "--s", "inf", "--format", "json"],
+    ["zeta", "--s", "1+nanj"],
+    ["lefschetz", "--z", "nan", "--format", "json"],
+])
+def test_non_finite_or_negative_options_exit_usage(tmp_path, capsys, options):
+    triangle = tmp_path / "triangle.edges"
+    triangle.write_text("1 2\n2 3\n1 3\n")
+    options = [x.format(tmp=tmp_path) for x in options]
+    code, out, err = run(capsys, options[0], str(triangle), *options[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
+def test_unrenderable_report_exits_usage(example_file, capsys, monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, "cohomology", lambda args: ({"chi": float("nan")}, ""))
+    code, out, err = run(capsys, "cohomology", example_file, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == "error: reports must not contain NaN or infinity\n"
 
 
 def test_out_file(example_file, tmp_path, capsys):

@@ -12,7 +12,9 @@ from diracgraph import (
     SimpleGraph,
     automorphisms,
     build_complex,
+    charpoly_int,
     contract,
+    dirac_charpoly,
     dirac_zeta,
     eta,
     lefschetz_zeta,
@@ -35,6 +37,13 @@ def small_graphs(draw, max_n=6):
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return SimpleGraph(range(n), [e for e, k in zip(pairs, keep) if k])
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs())
+def test_dirac_charpoly_matches_dense_charpoly(g):
+    ops = operators_for(g)
+    assert dirac_charpoly(ops) == charpoly_int(ops.dirac)
 
 
 @PROPERTY_SETTINGS

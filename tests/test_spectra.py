@@ -2,13 +2,11 @@
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from diracgraph import (
-    CapacityError,
     ComputationError,
     GraphMismatchError,
     SimpleGraph,
@@ -17,6 +15,7 @@ from diracgraph import (
     build_complex,
     cauchy_binet_coeffs,
     charpoly_int,
+    dirac_charpoly,
     dirac_zeta,
     eta,
     kirchhoff_trees,
@@ -30,10 +29,14 @@ from diracgraph import (
     spectral_distance,
     zeta_derivative_at_zero,
 )
-from conftest import erdos_renyi, spanning_trees_brute
-
-GOLDEN_CHARPOLY = [1, 0, -24, 0, 242, 0, -1334, 0, 4377, 0, -8706, 0,
-                   10187, 0, -6370, 0, 1624, 0, 0]
+from conftest import (
+    GOLDEN_CHARPOLY,
+    cauchy_binet_minor_sum,
+    erdos_renyi,
+    icosahedron,
+    octahedron,
+    spanning_trees_brute,
+)
 
 
 def minor_sum_symmetric(a, k):
@@ -50,6 +53,29 @@ def minor_sum_symmetric(a, k):
 
 def test_charpoly_example(example_ops):
     assert charpoly_int(example_ops.dirac) == GOLDEN_CHARPOLY
+    assert dirac_charpoly(example_ops) == GOLDEN_CHARPOLY
+
+
+@pytest.mark.parametrize("graph", [
+    SimpleGraph([], []),
+    SimpleGraph([0], []),
+    SimpleGraph(range(4), []),
+    SimpleGraph.complete(5),
+    octahedron(),
+    icosahedron(),
+], ids=["empty", "vertex", "edgeless", "K5", "octahedron", "icosahedron"])
+def test_dirac_charpoly_matches_dense(graph):
+    ops = operators_for(graph)
+    assert dirac_charpoly(ops) == charpoly_int(ops.dirac)
+
+
+def test_charpoly_rejects_non_integer_input():
+    assert charpoly_int(np.array([[2.0, 1.0], [0.0, 3.0]])) == [1, -5, 6]
+    assert charpoly_int(np.zeros((0, 0), dtype=int)) == [1]
+    for bad in ([[0.5]], [[1.5, 0], [0, 2.5]], [[float("nan")]], [[float("inf")]], [[1j]],
+                [1, 2], [[1, 2, 3], [4, 5, 6]]):
+        with pytest.raises(ValueError):
+            charpoly_int(np.array(bad))
 
 
 def test_charpoly_matches_principal_minor_oracle():
@@ -124,10 +150,18 @@ def test_cauchy_binet_matches_charpoly():
         n, m = rng.randint(1, 5), rng.randint(1, 4)
         f = np.array([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)])
         g = np.array([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)])
-        coeffs = charpoly_int(f.T @ g)  # det(xI - F^T G), descending
         for k in range(min(n, m) + 1):
-            e_k = (-1) ** k * coeffs[k]
+            e_k = cauchy_binet_minor_sum(f, g, k)
             assert cauchy_binet_coeffs(f, g, k) == e_k
+            approx = cauchy_binet_coeffs(f.astype(float), g.astype(float), k)
+            assert approx == pytest.approx(e_k, rel=1e-9, abs=1e-6)
+
+
+def test_cauchy_binet_has_no_size_cap_and_no_overflow():
+    eye = np.eye(30, dtype=int)
+    assert cauchy_binet_coeffs(eye, eye, 15) == math.comb(30, 15)
+    f = np.array([[4_000_000_000, 1], [2, 3]], dtype=np.int64)
+    assert cauchy_binet_coeffs(f, f, 1) == 16000000000000000014
 
 
 def test_pythagoras_for_pseudo_determinants():
