@@ -83,8 +83,6 @@ from .operators import (
     Operators,
     build_operators,
     exterior_derivative,
-    matrix_to_json,
-    matrix_to_text,
     operators_for,
     parity_vector,
     path_count,

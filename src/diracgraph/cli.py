@@ -220,22 +220,18 @@ def cmd_trees(args):
 
 
 def cmd_deform(args):
+    path = args.snapshots or (args.out + ".snapshots.json" if args.out else None)
+    if args.snapshot_every and path is None:
+        raise argparse.ArgumentTypeError("--snapshot-every needs --snapshots or --out")
     _, _, ops = _ops(args)
     states = lax_deform(ops, args.T, args.h, variant=args.variant)
     csv = trajectory_csv(states)
     if args.snapshot_every:
         snaps = [
-            {
-                "t": s.t,
-                "d": [[float(x.real) for x in row] for row in s.d],
-                "b": [[float(x.real) for x in row] for row in s.b],
-            }
+            {"t": s.t, "d": s.d.tolist(), "b": s.b.tolist()}
             for i, s in enumerate(states)
             if i % args.snapshot_every == 0
         ]
-        path = args.snapshots or (args.out + ".snapshots.json" if args.out else None)
-        if path is None:
-            raise argparse.ArgumentTypeError("--snapshot-every needs --snapshots or --out")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(snaps))
     return None, csv.rstrip("\n")

@@ -15,7 +15,6 @@ for these integers (each entry is bounded by a block dimension, far below
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,12 +185,3 @@ def path_count(ops: Operators, x: int, y: int, k: int) -> int:
         walks = [sum(walks[u] for u in adj[w]) for w in range(v)]
     return walks[y]
 
-
-def matrix_to_json(m: np.ndarray) -> str:
-    """Dense integer matrix as a JSON array of arrays, globalIndex order."""
-    return json.dumps([[int(x) for x in row] for row in m], separators=(",", ":"))
-
-
-def matrix_to_text(m: np.ndarray) -> str:
-    """Dense integer matrix as whitespace-separated text, one row per line."""
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in m)

@@ -149,13 +149,20 @@ class ZetaEvaluation:
 
 
 def _zeta(eigs: np.ndarray, s: complex, tol: float) -> complex:
-    """Sum of lambda^(-s) over the nonzero eigenvalues, negative ones by the branch above."""
+    """Sum of lambda^(-s) over the nonzero eigenvalues, negative ones by the branch above.
+
+    Raises ComputationError when the sum is not finite in double precision,
+    as for large Re s when some |lambda| < 1.
+    """
     cut = kernel_cut(eigs, tol) if eigs.size else 0.0
     pos = eigs[eigs > cut]
     neg = -eigs[eigs < -cut]
-    value = complex(np.sum(pos ** (-s))) if pos.size else 0j
-    if neg.size:
-        value += np.exp(-1j * np.pi * s) * complex(np.sum(neg ** (-s)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.sum(pos ** (-s))) if pos.size else 0j
+        if neg.size:
+            value += np.exp(-1j * np.pi * s) * complex(np.sum(neg ** (-s)))
+    if not np.isfinite(value):
+        raise ComputationError(f"zeta({s}) is not finite in double precision")
     return value
 
 

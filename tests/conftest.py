@@ -10,6 +10,7 @@ closed forms.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -255,3 +256,88 @@ def lefschetz_zeta_power_loop(ops, t, z, order=40):
         power = compose(t, power)
         total += lefschetz(ops, power).lefschetz * z ** n / n
     return complex(np.exp(total))
+
+
+@dataclass(frozen=True)
+class DenseLaxState:
+    """One state of dense_lax_deform, with d and b kept as dense v x v arrays."""
+
+    t: float
+    d: np.ndarray
+    b: np.ndarray
+    tr_m: float
+    spectrum_error: float
+    nilpotency_error: float
+    laplacian_error: float
+
+    @property
+    def dirac(self) -> np.ndarray:
+        return self.d + self.d.conj().T + self.b
+
+
+def _dense_lax_rhs(d, b, variant):
+    if variant == "real":
+        return d @ b - b @ d, 2.0 * (d @ d.conj().T - d.conj().T @ d)
+    return (1 - 1j) * (d @ b - b @ d), 2.0 * (d @ d.conj().T - d.conj().T @ d)
+
+
+def dense_lax_deform(ops, t_final, h=0.01, variant="real", max_halvings=3,
+                     nilpotency_bound=1e-8, spectrum_bound=1e-6):
+    """The Lax flow as dense RK4 that copies the full d and b into every state.
+
+    The reference lax_deform must match bit for bit: same arithmetic, same
+    diagnostics, same restart rule; only the storage of a state differs.
+    """
+    dtype = complex if variant == "complexified" else float
+    d0 = ops.d.astype(dtype)
+    ref_spectrum = ops.dirac_eigensystem[0]
+    l0 = ops.laplacian.astype(float)
+    step = h
+    for _ in range(max_halvings + 1):
+        states = _dense_integrate(
+            d0, l0, ref_spectrum, t_final, step, variant, nilpotency_bound, spectrum_bound
+        )
+        if states is not None:
+            return states
+        step /= 2
+    raise AssertionError("the dense oracle breached its bounds")
+
+
+def _dense_integrate(d0, l0, ref_spectrum, t_final, h, variant, nilpotency_bound, spectrum_bound):
+    d = d0.copy()
+    b = np.zeros_like(d0)
+    steps = int(round(t_final / h))
+    states = []
+
+    def snapshot(t):
+        dirac_t = d + d.conj().T + b
+        m = (d + d.conj().T) @ (d + d.conj().T)
+        eigs = np.linalg.eigvalsh(dirac_t)
+        spec_err = float(np.max(np.abs(eigs - ref_spectrum))) if eigs.size else 0.0
+        nil_err = float(np.max(np.abs(d @ d))) if d.size else 0.0
+        lap_err = float(np.max(np.abs(dirac_t @ dirac_t - l0))) if d.size else 0.0
+        states.append(
+            DenseLaxState(
+                t=t,
+                d=d.copy(),
+                b=b.copy(),
+                tr_m=float(np.trace(m).real),
+                spectrum_error=spec_err,
+                nilpotency_error=nil_err,
+                laplacian_error=lap_err,
+            )
+        )
+        return states[-1]
+
+    snapshot(0.0)
+    for i in range(1, steps + 1):
+        k1 = _dense_lax_rhs(d, b, variant)
+        k2 = _dense_lax_rhs(d + 0.5 * h * k1[0], b + 0.5 * h * k1[1], variant)
+        k3 = _dense_lax_rhs(d + 0.5 * h * k2[0], b + 0.5 * h * k2[1], variant)
+        k4 = _dense_lax_rhs(d + h * k3[0], b + h * k3[1], variant)
+        d = d + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        b = b + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        state = snapshot(i * h)
+        if state.nilpotency_error > nilpotency_bound or state.spectrum_error > spectrum_bound:
+            return None
+    return states

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import diracgraph as dg
 from diracgraph import ConsistencyError, cli
 from diracgraph.cli import main
 from diracgraph.jsonutil import canonical_json
@@ -106,6 +108,14 @@ def test_zeta_command(example_file, capsys):
     assert abs(report["value"]["re"] - 48) < 1e-6
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_zeta_overflow_is_computation_error(example_file, capsys, fmt):
+    # the example has eigenvalues below 1, so |lambda|^(-10000) overflows
+    code, out, err = run(capsys, "zeta", example_file, "--s", "10000", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "computation error: zeta((10000+0j)) is not finite in double precision\n"
+
+
 def test_distance_command(tmp_path, c4_file, capsys):
     chord = tmp_path / "chord.edges"
     chord.write_text("1 2\n2 3\n3 4\n1 4\n1 3\n")
@@ -154,6 +164,31 @@ def test_deform_snapshots(example_file, tmp_path, capsys):
     data = json.loads(snaps.read_text())
     assert len(data) == 3
     assert len(data[0]["d"]) == 18
+
+
+def test_deform_complexified_snapshots_keep_imaginary_part(example_file, tmp_path, capsys):
+    snaps = tmp_path / "snaps.json"
+    code, _, _ = run(capsys, "deform", example_file, "--T", "0.05", "--h", "0.01",
+                     "--variant", "complexified", "--snapshot-every", "5",
+                     "--snapshots", str(snaps))
+    assert code == 0
+    last = json.loads(snaps.read_text())[-1]
+    ops = dg.operators_for(dg.example_graph())
+    state = dg.lax_deform(ops, 0.05, 0.01, variant="complexified")[-1]
+    for name in ("d", "b"):
+        got = np.array([[x["re"] + 1j * x["im"] for x in row] for row in last[name]])
+        assert np.abs(got.imag).max() > 0
+        assert np.allclose(got, getattr(state, name), rtol=1e-11, atol=1e-15)
+
+
+def test_deform_snapshot_path_checked_before_integrating(example_file, capsys, monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("lax_deform ran before the options were checked")
+
+    monkeypatch.setattr(cli, "lax_deform", integrate)
+    code, out, err = run(capsys, "deform", example_file, "--snapshot-every", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --snapshot-every needs --snapshots or --out\n"
 
 
 def test_lefschetz_command(tmp_path, capsys):

@@ -18,6 +18,8 @@ from diracgraph import (
     wave_evolve,
 )
 
+from conftest import dense_lax_deform, octahedron
+
 
 def _random_cochain(ops, k, seed=0, complex_valued=False):
     rng = np.random.default_rng(seed)
@@ -193,6 +195,37 @@ def test_lax_deformation_fixture(example_ops):
     final = states[-1]
     assert np.max(np.abs(final.d)) < 1e-6
     assert np.max(np.abs(final.b @ final.b - example_ops.laplacian)) < 1e-6
+
+
+@pytest.mark.parametrize("graph, t_final, variant", [
+    ("example", 5.0, "real"),
+    ("octahedron", 2.0, "complexified"),
+])
+def test_lax_states_are_blocks_equal_to_dense_oracle(example, graph, t_final, variant):
+    ops = operators_for(example if graph == "example" else octahedron())
+    states = lax_deform(ops, t_final, 0.01, variant=variant)
+    oracle = dense_lax_deform(ops, t_final, 0.01, variant=variant)
+    assert len(states) == len(oracle)
+    for s, o in zip(states, oracle):
+        fields = ("t", "tr_m", "spectrum_error", "nilpotency_error", "laplacian_error")
+        assert [getattr(s, f) for f in fields] == [getattr(o, f) for f in fields]
+        for name in ("d", "b", "dirac"):
+            got, want = getattr(s, name), getattr(o, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+    # storage: only the (k+1, k) blocks of d and the (k, k) blocks of b
+    n = ops.complex.counts
+    block_entries = sum(x * y for x, y in zip(n[1:], n)) + sum(x * x for x in n)
+    block_bytes = block_entries * states[0].packed.itemsize
+    buffers = {}
+    for s in states:
+        arrays = [x for x in vars(s).values() if isinstance(x, np.ndarray)]
+        arrays += [x.base for x in arrays if x.base is not None]
+        assert all(x.shape != (ops.v, ops.v) for x in arrays)
+        assert s.packed.nbytes == block_bytes
+        base = s.packed if s.packed.base is None else s.packed.base
+        buffers[id(base)] = base.nbytes
+    assert sum(buffers.values()) == len(states) * block_bytes
 
 
 def test_lax_invariants_along_trajectory(example_ops):

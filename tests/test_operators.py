@@ -20,8 +20,6 @@ from diracgraph import (
     build_complex,
     build_operators,
     exterior_derivative,
-    matrix_to_json,
-    matrix_to_text,
     operators_for,
     parity_vector,
     path_count,
@@ -251,12 +249,6 @@ def test_even_odd_closed_path_split(example_ops):
         odd = sum(int(diag[i]) for i in range(ops.v) if ops.parity[i] == -1)
         assert even == odd
         power = power @ adj @ adj
-
-
-def test_matrix_exports(example_ops):
-    m = example_ops.lap_blocks[2]
-    assert matrix_to_json(m) == "[[3,1],[1,3]]"
-    assert matrix_to_text(m) == "3 1\n1 3"
 
 
 def test_consistency_error_on_corrupt_block(monkeypatch):
