@@ -38,7 +38,6 @@ from .errors import (
     DiracGraphError,
     EdgeListError,
     GraphMismatchError,
-    IntegrationError,
     UnsolvableError,
 )
 from .geometry import (

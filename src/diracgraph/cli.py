@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("distance"), inputs=2)
     p = common(sub.add_parser("deform"))
     p.add_argument("--T", type=float, default=10.0, help="total deformation time")
-    p.add_argument("--h", type=float, default=0.01, help="integrator step size")
+    p.add_argument("--h", type=float, default=0.01, help="sampling interval: rows at t = 0, h, 2h, ...")
     p.add_argument("--variant", choices=("real", "complexified"), default="real")
     p.add_argument("--snapshot-every", type=int, default=0, dest="snapshot_every")
     p.add_argument("--snapshots", help="path for full-matrix JSON snapshots")

@@ -4,16 +4,28 @@ The linear flows (heat, wave, Schroedinger, Poisson) are evaluated through
 the spectral calculus of the symmetric operators, never by series, so the
 long-time limits are exact projections.
 
-The nonlinear deformation integrates the coupled system
+The nonlinear deformation is the commutator flow D' = [B, D] for
+D = d + d* + b, B = d - d*, which in block coordinates reads
 
     d' = d b - b d,        b' = 2 (d d* - d* d)
 
-which is the commutator flow D' = [B, D] for D = d + d* + b, B = d - d*
-written in block coordinates.  (Expanding the commutator shows the
-block-diagonal part carries the factor 2; with the factor omitted the flow
-is not isospectral, which the per-step diagnostics would flag immediately.)
-The flow keeps sigma(D) and L = D^2 fixed while d(t) decays to zero and a
-block-diagonal b(t) with b^2 = L emerges.
+(expanding the commutator puts the factor 2 on the block-diagonal part).
+From d(0) = d, b(0) = 0 it is integrable (O. Knill, "An integrable
+evolution equation in geometry", 2013).  Since d_{k+1} d_k = 0, the
+singular triples (s, u, w) of all blocks d_k = sum s u w^T form one
+orthonormal family, and on each triple the flow closes:
+
+    d(t) = sum a u w^T,    b(t) = sum beta (u u^T - w w^T),
+    a = s sech(2 s t),     beta = s tanh(2 s t).
+
+The complexified generator B = d - d* + i b multiplies a by the phase
+exp(i log cosh(2 s t)) and leaves b as it is.  The flow keeps sigma(D) and
+L = D^2 fixed while d(t) decays to zero and b(t) tends to
+sqrt(d d*) - sqrt(d* d), block diagonal with b^2 = L.
+
+lax_deform evaluates this solution at t = i h, so h is a sampling
+interval, not a step size.  One SVD per block is taken per run, and every
+state of the run shares those factors.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, UnsolvableError
+from .errors import ConsistencyError, UnsolvableError
 from .hodge import Cochain, kernel_cut
 from .operators import Operators
 
@@ -100,76 +112,109 @@ def schrodinger_evolve(ops: Operators, psi0: np.ndarray, t: float) -> np.ndarray
     return (vecs * np.exp(1j * t * eigs)) @ (vecs.conj().T @ psi0)
 
 
-def _layout(offsets: tuple[int, ...]):
-    """Where a packed state keeps each block, and the buffer length.
+@dataclass(frozen=True)
+class LaxFactors:
+    """The nonzero singular triples of the blocks d_k, shared by one run.
 
-    Stratum k spans the global indices offsets[k]:offsets[k+1].  Each block
-    is (rows, cols, span, shape): the (k+1, k) blocks of d come first, then
-    the (k, k) blocks of b, and span is the block's range in the buffer.
+    triples[k] = (u, s, w) with d_k = u diag(s) w^T; offsets are the
+    stratum boundaries (stratum k spans offsets[k]:offsets[k+1], and the
+    last entry is v).
     """
-    strata = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    layout = ([], [])
-    pos = 0
-    for part, pairs in zip(layout, (zip(strata[1:], strata), zip(strata, strata))):
-        for r, c in pairs:
-            shape = (r.stop - r.start, c.stop - c.start)
-            part.append((r, c, slice(pos, pos + shape[0] * shape[1]), shape))
-            pos += shape[0] * shape[1]
-    return layout, pos
+
+    offsets: tuple[int, ...]
+    triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    complexified: bool
+
+    def blocks(self, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The blocks d_k(t) and the diagonal blocks b_k(t) at time t.
+
+        b_k(t) is real in both variants.
+        """
+        b = [np.zeros((n, n)) for n in np.diff(self.offsets)]
+        d = []
+        for k, (u, s, w) in enumerate(self.triples):
+            x = 2.0 * s * t
+            decay = np.exp(-x)  # sech and log cosh in forms that cannot overflow
+            a = s * 2.0 * decay / (1.0 + decay * decay)
+            if self.complexified:
+                a = a * np.exp(1j * (x + np.log1p(decay * decay) - np.log(2.0)))
+            beta = s * np.tanh(x)
+            d.append((u * a) @ w.T)
+            b[k + 1] += (u * beta) @ u.T
+            b[k] -= (w * beta) @ w.T
+        return d, b
+
+    def dense(self, d: list[np.ndarray], b: list[np.ndarray], adjoint: bool = False) -> np.ndarray:
+        """The v x v matrix with the blocks d at (k+1, k), their adjoints at
+        (k, k+1) if asked, and b on the diagonal; pass [] to leave either out."""
+        strata = [slice(lo, hi) for lo, hi in zip(self.offsets, self.offsets[1:])]
+        m = np.zeros((self.offsets[-1],) * 2, dtype=complex if self.complexified else float)
+        for k, blk in enumerate(d):
+            m[strata[k + 1], strata[k]] = blk
+            if adjoint:
+                m[strata[k], strata[k + 1]] = blk.conj().T
+        for k, blk in enumerate(b):
+            m[strata[k], strata[k]] = blk
+        return m
 
 
 @dataclass(frozen=True)
 class DeformationState:
-    """One sample of the Lax trajectory with its diagnostics.
+    """One sample of the Lax flow with its diagnostics.
 
-    The flow keeps d(t) on the (k+1, k) blocks and b(t) on the diagonal
-    blocks, and every entry outside them stays exactly +0.0, so a state
-    stores only those blocks.  packed holds the (k+1, k) blocks of d, then
-    the (k, k) blocks of b, each flattened row by row; offsets holds the
-    stratum boundaries (stratum k spans offsets[k]:offsets[k+1], and the
-    last entry is v).  The states of one run are rows of one buffer, so a
-    single kept state keeps the whole run's buffer alive.
-
-    d, b and dirac build a fresh dense v x v array on every read, bit for
-    bit the one the integrator held; bind the result once.
+    A state keeps t, the diagnostics of the matrices at t and a reference
+    to the run's shared LaxFactors, never a matrix, so its size does not
+    depend on v or on the length of the run.  d, b and dirac rebuild a
+    fresh dense v x v array from the factors on every read; bind the
+    result once.
     """
 
     t: float
-    packed: np.ndarray
-    offsets: tuple[int, ...]
+    factors: LaxFactors
     tr_m: float
     spectrum_error: float
     nilpotency_error: float
     laplacian_error: float
 
-    def _dense(self, part: int) -> np.ndarray:
-        """The v x v matrix of the blocks of d (part 0) or of b (part 1)."""
-        layout, _ = _layout(self.offsets)
-        v = self.offsets[-1]
-        m = np.zeros((v, v), dtype=self.packed.dtype)
-        for r, c, span, shape in layout[part]:
-            m[r, c] = self.packed[span].reshape(shape)
-        return m
-
     @property
     def d(self) -> np.ndarray:
-        return self._dense(0)
+        return self.factors.dense(self.factors.blocks(self.t)[0], [])
 
     @property
     def b(self) -> np.ndarray:
-        return self._dense(1)
+        return self.factors.dense([], self.factors.blocks(self.t)[1])
 
     @property
     def dirac(self) -> np.ndarray:
-        d = self.d
-        return d + d.conj().T + self.b
+        return self.factors.dense(*self.factors.blocks(self.t), adjoint=True)
 
 
-def _lax_rhs(d: np.ndarray, b: np.ndarray, variant: str):
-    if variant == "real":
-        return d @ b - b @ d, 2.0 * (d @ d.conj().T - d.conj().T @ d)
-    # complexified generator B = d - d* + i b adds a phase to the d-equation
-    return (1 - 1j) * (d @ b - b @ d), 2.0 * (d @ d.conj().T - d.conj().T @ d)
+def _max_abs(blocks) -> float:
+    return max((float(np.max(np.abs(x))) for x in blocks), default=0.0)
+
+
+def _sample(factors: LaxFactors, ops: Operators, t: float) -> DeformationState:
+    """The state at t, with the residuals of the matrices rebuilt at t."""
+    d, b = factors.blocks(t)
+    eigs = np.linalg.eigvalsh(factors.dense(d, b, adjoint=True))
+    spec_err = float(np.max(np.abs(eigs - ops.dirac_eigensystem[0]))) if eigs.size else 0.0
+    # D(t)^2 - L is Hermitian; below its diagonal it has the (k+1, k)
+    # blocks d_k b_k + b_{k+1} d_k and the (k+2, k) blocks d_{k+1} d_k
+    nil = [d[k + 1] @ d[k] for k in range(len(d) - 1)]
+    lower = [dk @ b[k] + b[k + 1] @ dk for k, dk in enumerate(d)]
+    diag = [bk @ bk - lk for bk, lk in zip(b, ops.lap_blocks)]
+    for k, dk in enumerate(d):
+        diag[k] = diag[k] + dk.conj().T @ dk
+        diag[k + 1] = diag[k + 1] + dk @ dk.conj().T
+    nil_err = _max_abs(nil)
+    return DeformationState(
+        t=t,
+        factors=factors,
+        tr_m=2.0 * sum(float(np.vdot(dk, dk).real) for dk in d),
+        spectrum_error=spec_err,
+        nilpotency_error=nil_err,
+        laplacian_error=max(nil_err, _max_abs(lower), _max_abs(diag)),
+    )
 
 
 def lax_deform(
@@ -177,94 +222,48 @@ def lax_deform(
     t_final: float,
     h: float = 0.01,
     variant: str = "real",
-    max_halvings: int = 3,
     nilpotency_bound: float = 1e-8,
     spectrum_bound: float = 1e-6,
 ) -> list[DeformationState]:
-    """Integrate the isospectral deformation from d(0) = d, b(0) = 0.
+    """The isospectral deformation from d(0) = d, b(0) = 0, sampled at t = i h.
 
-    Classical fixed-step RK4 on the coupled (d, b) system.  Diagnostics
-    (nilpotency of d, spectral drift of D, entrywise drift of L) are
-    recorded at every step; if a bound is breached the whole run restarts
-    with half the step, up to max_halvings, to keep results reproducible
-    functions of the inputs.
+    The flow is evaluated in closed form (see the module docstring) at
+    every t = i h up to round(t_final / h) h.  Each state records residuals
+    of the matrices rebuilt at its t: the spectral drift
+    max |eig D(t) - eig D|, the nilpotency max |d(t)^2| and the entrywise
+    drift max |D(t)^2 - L|.  The closed form keeps them at rounding level,
+    so nilpotency or spectral drift beyond its bound is a bug and raises
+    ConsistencyError.
     """
     if t_final <= 0 or h <= 0:
         raise ValueError("t_final and h must be positive")
     if variant not in ("real", "complexified"):
         raise ValueError(f"unknown variant {variant!r}")
-    dtype = complex if variant == "complexified" else float
-    d0 = ops.d.astype(dtype)
-    ref_spectrum = ops.dirac_eigensystem[0]
-    l0 = ops.laplacian.astype(float)
-    offsets = ops.complex.offsets + (ops.v,)
-
-    step = h
-    for _ in range(max_halvings + 1):
-        states = _integrate(
-            d0, l0, ref_spectrum, offsets, t_final, step, variant, nilpotency_bound,
-            spectrum_bound,
-        )
-        if states is not None:
-            return states
-        step /= 2
-    raise IntegrationError(
-        f"diagnostics breached even at step size {step * 2:.3e}; use a smaller h"
-    )
-
-
-def _integrate(
-    d0, l0, ref_spectrum, offsets, t_final, h, variant, nilpotency_bound, spectrum_bound
-):
-    d = d0.copy()
-    b = np.zeros_like(d0)
-    steps = int(round(t_final / h))
-    states: list[DeformationState] = []
-    layout, size = _layout(offsets)
-    # one row per state, allocated once: a buffer per state fragments the
-    # glibc heap, about 20 MB more peak RSS over 501 states at v = 232
-    trajectory = np.empty((steps + 1, size), dtype=d.dtype)
-
-    def snapshot(t):
-        dirac_t = d + d.conj().T + b
-        m = (d + d.conj().T) @ (d + d.conj().T)
-        eigs = np.linalg.eigvalsh(dirac_t)
-        spec_err = float(np.max(np.abs(eigs - ref_spectrum))) if eigs.size else 0.0
-        nil_err = float(np.max(np.abs(d @ d))) if d.size else 0.0
-        lap_err = float(np.max(np.abs(dirac_t @ dirac_t - l0))) if d.size else 0.0
-        packed = trajectory[len(states)]
-        for dense, part in zip((d, b), layout):
-            for r, c, span, shape in part:
-                packed[span].reshape(shape)[...] = dense[r, c]
-        states.append(
-            DeformationState(
-                t=t,
-                packed=packed,
-                offsets=offsets,
-                tr_m=float(np.trace(m).real),
-                spectrum_error=spec_err,
-                nilpotency_error=nil_err,
-                laplacian_error=lap_err,
-            )
-        )
-        return states[-1]
-
-    snapshot(0.0)
-    for i in range(1, steps + 1):
-        k1 = _lax_rhs(d, b, variant)
-        k2 = _lax_rhs(d + 0.5 * h * k1[0], b + 0.5 * h * k1[1], variant)
-        k3 = _lax_rhs(d + 0.5 * h * k2[0], b + 0.5 * h * k2[1], variant)
-        k4 = _lax_rhs(d + h * k3[0], b + h * k3[1], variant)
-        d = d + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        b = b + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        state = snapshot(i * h)
+    factors = _lax_factors(ops, variant == "complexified")
+    states = []
+    for i in range(int(round(t_final / h)) + 1):
+        state = _sample(factors, ops, i * h)
         if state.nilpotency_error > nilpotency_bound or state.spectrum_error > spectrum_bound:
-            return None
+            raise ConsistencyError(
+                f"Lax state at t = {state.t:g} breaches its bounds: nilpotency"
+                f" {state.nilpotency_error:.3e}, spectral drift {state.spectrum_error:.3e}"
+            )
+        states.append(state)
     return states
 
 
+def _lax_factors(ops: Operators, complexified: bool) -> LaxFactors:
+    """One SVD per block d_k, keeping the triples with s^2 above the kernel cut."""
+    triples = []
+    for blk in ops.dblocks:
+        u, s, wt = np.linalg.svd(blk.astype(float), full_matrices=False)
+        keep = s * s >= kernel_cut(s * s)
+        triples.append((u[:, keep], s[keep], wt[keep].T))
+    return LaxFactors(ops.offsets + (ops.v,), tuple(triples), complexified)
+
+
 def trajectory_csv(states: list[DeformationState]) -> str:
-    """CSV with one diagnostics row per recorded step."""
+    """CSV with one diagnostics row per sample."""
     lines = ["t,trM,spectrumError,nilpotencyError"]
     for s in states:
         lines.append(

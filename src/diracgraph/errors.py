@@ -40,9 +40,5 @@ class UnsolvableError(ComputationError):
         )
 
 
-class IntegrationError(ComputationError):
-    """Deformation integrator diagnostics breached their bounds."""
-
-
 class ConsistencyError(DiracGraphError):
     """Internal invariant violated (signals a bug, not a user error)."""

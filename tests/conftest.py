@@ -285,8 +285,8 @@ def dense_lax_deform(ops, t_final, h=0.01, variant="real", max_halvings=3,
                      nilpotency_bound=1e-8, spectrum_bound=1e-6):
     """The Lax flow as dense RK4 that copies the full d and b into every state.
 
-    The reference lax_deform must match bit for bit: same arithmetic, same
-    diagnostics, same restart rule; only the storage of a state differs.
+    An independent oracle for the closed form of lax_deform: at step h the
+    two differ by RK4's O(h^4) error.
     """
     dtype = complex if variant == "complexified" else float
     d0 = ops.d.astype(dtype)

@@ -156,6 +156,13 @@ def test_deform_csv(example_file, capsys):
     assert tr == sorted(tr, reverse=True)
 
 
+def test_deform_h_is_the_sampling_interval(example_file, capsys):
+    code, out, _ = run(capsys, "deform", example_file, "--T", "1", "--h", "0.1")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == [f"{i * 0.1:.6f}" for i in range(11)]
+
+
 def test_deform_snapshots(example_file, tmp_path, capsys):
     snaps = tmp_path / "snaps.json"
     code, _, _ = run(capsys, "deform", example_file, "--T", "0.05", "--h", "0.01",
@@ -175,10 +182,13 @@ def test_deform_complexified_snapshots_keep_imaginary_part(example_file, tmp_pat
     last = json.loads(snaps.read_text())[-1]
     ops = dg.operators_for(dg.example_graph())
     state = dg.lax_deform(ops, 0.05, 0.01, variant="complexified")[-1]
-    for name in ("d", "b"):
-        got = np.array([[x["re"] + 1j * x["im"] for x in row] for row in last[name]])
-        assert np.abs(got.imag).max() > 0
-        assert np.allclose(got, getattr(state, name), rtol=1e-11, atol=1e-15)
+    d, b = (np.array([[x["re"] + 1j * x["im"] for x in row] for row in last[name]])
+            for name in ("d", "b"))
+    # the phase exp(i log cosh 2st) rotates d; b stays real on the flow
+    assert np.abs(d.imag).max() > 0
+    assert np.abs(b.imag).max() == 0 and np.abs(b.real).max() > 0
+    assert np.allclose(d, state.d, rtol=1e-11, atol=1e-15)
+    assert np.allclose(b, state.b, rtol=1e-11, atol=1e-15)
 
 
 def test_deform_snapshot_path_checked_before_integrating(example_file, capsys, monkeypatch):

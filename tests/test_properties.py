@@ -17,6 +17,7 @@ from diracgraph import (
     dirac_charpoly,
     dirac_zeta,
     eta,
+    lax_deform,
     lefschetz_zeta,
     operators_for,
     path_count,
@@ -110,3 +111,18 @@ def test_lefschetz_zeta_matches_every_power_loop(g, data):
     z = data.draw(st.sampled_from([0.3, -0.5, 0.2 + 0.4j]))
     order = data.draw(st.sampled_from([1, 3, 40]))
     assert lefschetz_zeta(ops, t, z, order) == lefschetz_zeta_power_loop(ops, t, z, order)
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(), st.floats(0.01, 5.0), st.sampled_from(["real", "complexified"]))
+def test_lax_states_are_residual_free_and_follow_the_closed_form(g, t_final, variant):
+    ops = operators_for(g)
+    states = lax_deform(ops, t_final, t_final / 4, variant=variant)
+    tol = 1e-12 * max(1, int(np.trace(ops.laplacian)))
+    sigmas = [np.linalg.svd(d.astype(float), compute_uv=False) for d in ops.dblocks]
+    for s in states:
+        assert max(s.laplacian_error, s.nilpotency_error, s.spectrum_error) <= tol
+        tr_m = 2 * sum(float(np.sum((x / np.cosh(2 * x * s.t)) ** 2)) for x in sigmas)
+        assert s.tr_m == pytest.approx(tr_m, rel=1e-12)
+    tr = [s.tr_m for s in states]
+    assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
