@@ -53,8 +53,8 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _load(args, attr="input"):
-    g = load_edge_list(getattr(args, attr))
+def _load(args):
+    g = load_edge_list(args.input)
     c = build_complex(g, args.max_dim)
     return g, c
 
@@ -113,7 +113,7 @@ def cmd_cohomology(args):
 
 
 def cmd_curvature(args):
-    g, _ = _load(args)
+    g = load_edge_list(args.input)
     ks = geometry.curvature_vector(g)
     total = sum(ks.values())
     report = {
@@ -127,7 +127,7 @@ def cmd_curvature(args):
 
 
 def cmd_morse(args):
-    g, _ = _load(args)
+    g = load_edge_list(args.input)
     if args.f:
         try:
             values = [float(x) for x in args.f.split(",")]
@@ -206,7 +206,7 @@ def cmd_distance(args):
 
 
 def cmd_magnitude(args):
-    g, _ = _load(args)
+    g = load_edge_list(args.input)
     value = magnitude(g)
     return {"magnitude": value}, f"|G| = {value:.9g}"
 
@@ -253,7 +253,7 @@ def cmd_lefschetz(args):
             ],
         }
         if args.z is not None:
-            zt = morphisms.lefschetz_zeta(ops, t, args.z, args.order, args.tol)
+            zt = morphisms.lefschetz_zeta(ops, t, args.z, args.order)
             entry["zeta"] = zt
             zeta_product *= zt
         entries.append(entry)
@@ -267,13 +267,13 @@ def cmd_lefschetz(args):
 
 
 def cmd_dimension(args):
-    g, _ = _load(args)
+    g = load_edge_list(args.input)
     dim = geometry.dimension(g)
     return {"dimension": dim}, f"dim = {fraction_str(dim)}"
 
 
 def cmd_contract(args):
-    g, _ = _load(args)
+    g = load_edge_list(args.input)
     result = geometry.contract(g)
     verdict = result.contractible if result.contractible is not None else "unknown"
     report = {
@@ -313,34 +313,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=1):
+    def common(p, *options, inputs=1):
+        """Positional inputs, --format and --out, plus the named shared options."""
         p.add_argument("input", help="edge-list file")
         if inputs == 2:
             p.add_argument("second", help="second edge-list file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--tol", type=float, default=hodge.KERNEL_TOL,
-                       help="kernel threshold for eigenvalue-zero decisions")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (fallback: DIRACGRAPH_SEED)")
-        p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+        if "tol" in options:
+            p.add_argument("--tol", type=float, default=hodge.KERNEL_TOL,
+                           help="kernel threshold for eigenvalue-zero decisions")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed (fallback: DIRACGRAPH_SEED)")
+        if "max_dim" in options:
+            p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
         return p
 
-    for name in ("analyze", "cohomology", "curvature", "spectrum",
-                 "magnitude", "trees", "dimension", "contract"):
-        common(sub.add_parser(name))
-    p = common(sub.add_parser("morse"))
+    for name, options in (("analyze", ("tol", "max_dim")), ("cohomology", ("tol", "max_dim")),
+                          ("curvature", ()), ("spectrum", ("max_dim",)), ("magnitude", ()),
+                          ("trees", ("max_dim",)), ("dimension", ()), ("contract", ())):
+        common(sub.add_parser(name), *options)
+    p = common(sub.add_parser("morse"), "seed")
     p.add_argument("--f", help="comma-separated injective vertex values")
-    p = common(sub.add_parser("zeta"))
+    p = common(sub.add_parser("zeta"), "tol", "max_dim")
     p.add_argument("--s", required=True, help="complex argument, e.g. '2' or '1+0.5j'")
     common(sub.add_parser("distance"), inputs=2)
-    p = common(sub.add_parser("deform"))
+    p = common(sub.add_parser("deform"), "max_dim")
     p.add_argument("--T", type=float, default=10.0, help="total deformation time")
     p.add_argument("--h", type=float, default=0.01, help="sampling interval: rows at t = 0, h, 2h, ...")
     p.add_argument("--variant", choices=("real", "complexified"), default="real")
     p.add_argument("--snapshot-every", type=int, default=0, dest="snapshot_every")
     p.add_argument("--snapshots", help="path for full-matrix JSON snapshots")
-    p = common(sub.add_parser("lefschetz"))
+    p = common(sub.add_parser("lefschetz"), "tol", "max_dim")
     p.add_argument("--z", type=complex, default=None, help="evaluate zeta_T at this point")
     p.add_argument("--order", type=int, default=40, help="zeta series truncation order")
     return parser
@@ -357,6 +362,8 @@ def _validate(args):
         raise argparse.ArgumentTypeError("--z must be finite")
     if getattr(args, "snapshot_every", 0) < 0:
         raise argparse.ArgumentTypeError("--snapshot-every must be non-negative")
+    if getattr(args, "order", 1) < 1:
+        raise argparse.ArgumentTypeError("--order must be at least 1")
 
 
 def main(argv=None) -> int:

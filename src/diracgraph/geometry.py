@@ -13,13 +13,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, takewhile
 from typing import Mapping, Sequence
 
-from .complexes import SimpleGraph, build_complex, graph_euler_characteristic
-from .errors import CapacityError
-
-EXACT_EXPECTATION_CAP = 9
+from .complexes import CliqueComplex, SimpleGraph, build_complex, graph_euler_characteristic
 
 
 def unit_sphere(g: SimpleGraph, x: int) -> SimpleGraph:
@@ -53,6 +49,17 @@ class MorseData:
         return sum(self.indices.values())
 
 
+def _star_index(star: CliqueComplex, f: Mapping[int, float], x: int) -> int:
+    """Index of x on its star: 1 + sum of (-1)^|s| over the cliques s of S(x) below x.
+
+    star is the clique complex of the unit sphere S(x).  Each clique s
+    stands for the simplex s + {x}, and the empty clique gives the 1, so
+    the sum is 1 - chi(S^-(x)).
+    """
+    fx = f[x]
+    return 1 + sum((-1) ** len(s) for s in star.simplices if all(f[y] < fx for y in s))
+
+
 def poincare_hopf(g: SimpleGraph, f: Mapping[int, float] | Sequence[float]) -> MorseData:
     """Indices i_f(x) = 1 - chi(S^-(x)) of an injective vertex function.
 
@@ -65,12 +72,11 @@ def poincare_hopf(g: SimpleGraph, f: Mapping[int, float] | Sequence[float]) -> M
         f = dict(zip(g.vertices, f))
     if set(f) != set(g.vertices):
         raise ValueError("function must be defined exactly on the vertices")
+    if any(math.isnan(value) for value in f.values()):
+        raise ValueError("function values must not be NaN")
     if len(set(f.values())) != g.n:
         raise ValueError("function must be injective (ties are undefined)")
-    indices = {}
-    for x in g.vertices:
-        below = [y for y in g.adjacency[x] if f[y] < f[x]]
-        indices[x] = 1 - graph_euler_characteristic(g.induced(below))
+    indices = {x: _star_index(build_complex(unit_sphere(g, x)), f, x) for x in g.vertices}
     critical = tuple(x for x in g.vertices if indices[x] != 0)
     return MorseData(f=dict(f), indices=indices, critical=critical)
 
@@ -82,14 +88,6 @@ class MonteCarloEstimate:
     samples: int
 
 
-def _sphere_chi_cache(g: SimpleGraph, x: int) -> dict[frozenset, int]:
-    cache: dict[frozenset, int] = {}
-    for r in range(g.degree(x) + 1):
-        for subset in combinations(sorted(g.adjacency[x]), r):
-            cache[frozenset(subset)] = graph_euler_characteristic(g.induced(subset))
-    return cache
-
-
 def index_expectation(
     g: SimpleGraph,
     x: int,
@@ -99,38 +97,29 @@ def index_expectation(
 ):
     """Average Poincare-Hopf index of x over injective vertex functions.
 
-    Exact mode averages i_f(x) over all |V|! orderings and returns the
-    exact rational (which equals the curvature K(x)); it enumerates the
-    orderings, so it is capped at 9 vertices.  Monte Carlo mode samples
-    random orderings and reports mean and standard error.
+    Exact mode returns the curvature K(x), which is that average: by the
+    star sum in _star_index, i_f(x) = sum of (-1)^|s| over the cliques s of
+    S(x) (the empty one included) that lie below x.  A clique with |s|
+    vertices lies below x in exactly 1/(|s|+1) of all orderings, so by
+    linearity E[i_f(x)] = sum of (-1)^|s|/(|s|+1) = K(x) (Knill,
+    arXiv:1202.4514).  Monte Carlo mode samples random orderings and
+    reports mean and standard error.
     """
     if x not in g.position:
         raise ValueError(f"unknown vertex {x}")
-    chi = _sphere_chi_cache(g, x)
-    neighbors = g.adjacency[x]
-
-    def index_of(order) -> int:
-        below = frozenset(y for y in takewhile(lambda y: y != x, order) if y in neighbors)
-        return 1 - chi[below]
-
     if mode == "exact":
-        if g.n > EXACT_EXPECTATION_CAP:
-            raise CapacityError(
-                f"exact index expectation enumerates |V|! orderings; "
-                f"{g.n} vertices exceeds the cap of {EXACT_EXPECTATION_CAP}"
-            )
-        total = sum(index_of(order) for order in permutations(g.vertices))
-        return Fraction(total, math.factorial(g.n))
+        return curvature(g, x)
     if mode == "montecarlo":
         if samples < 1:
             raise ValueError(f"montecarlo mode needs at least one sample, got {samples}")
+        star = build_complex(unit_sphere(g, x))
         rng = random.Random(seed)
         verts = list(g.vertices)
         values = []
         for _ in range(samples):
             order = verts[:]
             rng.shuffle(order)
-            values.append(index_of(order))
+            values.append(_star_index(star, {v: i for i, v in enumerate(order)}, x))
         mean = sum(values) / samples
         var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
         return MonteCarloEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples)

@@ -4,8 +4,9 @@ An automorphism permutes every stratum of the clique complex.  Its
 pullback on k-cochains is (T*f)(x) = sign(T|x) f(T(x)), where the sign is
 the parity of the permutation that sorts the image vertices back into
 ascending order; compressing the pullback to the harmonic space gives the
-induced map on cohomology, whose alternating trace is the Lefschetz
-number.
+induced map on cohomology.  The Lefschetz number is computed exactly as
+the sum of the indices of the fixed simplices, and the alternating trace
+of the induced maps certifies it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimpleGraph, Simplex
-from .errors import CapacityError
+from .complexes import CliqueComplex, SimpleGraph, Simplex
+from .errors import CapacityError, ConsistencyError
 from .hodge import KERNEL_TOL, harmonic_basis
 from .operators import Operators
 
@@ -146,51 +147,60 @@ class LefschetzReport:
     lefschetz: int
     fixed_simplices: tuple[tuple[Simplex, int], ...]
 
-    @property
-    def index_sum(self) -> int:
-        return sum(i for _, i in self.fixed_simplices)
 
+def _fixed_simplices(c: CliqueComplex, t: GraphMap) -> tuple[tuple[Simplex, int], ...]:
+    """Simplices that T maps onto themselves, each with its index.
 
-def lefschetz(ops: Operators, t: GraphMap, tol: float = KERNEL_TOL) -> LefschetzReport:
-    """Alternating trace sum and the fixed-simplex indices realizing it."""
-    c = ops.complex
+    The index of a fixed simplex x is (-1)^dim(x) times the sign of the
+    permutation T induces on its vertices.
+    """
     pos = c.host.position
-    traces = []
-    total = 0.0
-    for k in range(len(c.strata)):
-        tr = float(np.trace(induced_cohomology_map(ops, t, k, tol)))
-        traces.append(tr)
-        total += (-1) ** k * tr
     fixed = []
     for x in c.simplices:
         image, sign = map_simplex(t, x, pos)
         if image == x:
             fixed.append((x, (-1) ** (len(x) - 1) * sign))
-    return LefschetzReport(
-        traces=tuple(traces),
-        lefschetz=round(total),
-        fixed_simplices=tuple(fixed),
+    return tuple(fixed)
+
+
+def lefschetz(ops: Operators, t: GraphMap, tol: float = KERNEL_TOL) -> LefschetzReport:
+    """Lefschetz number as the exact sum of fixed-simplex indices.
+
+    The alternating sum of the traces of T* on harmonic forms certifies it:
+    a gap above 1/2 contradicts the Lefschetz fixed point theorem and
+    raises ConsistencyError.
+    """
+    c = ops.complex
+    fixed = _fixed_simplices(c, t)
+    number = sum(i for _, i in fixed)
+    traces = tuple(
+        float(np.trace(induced_cohomology_map(ops, t, k, tol))) for k in range(len(c.strata))
     )
+    gap = abs(sum((-1) ** k * tr for k, tr in enumerate(traces)) - number)
+    if gap > 0.5:
+        raise ConsistencyError(
+            f"harmonic traces miss the fixed-simplex Lefschetz number {number} by {gap:.3g}"
+        )
+    return LefschetzReport(traces=traces, lefschetz=number, fixed_simplices=fixed)
 
 
-def lefschetz_zeta(
-    ops: Operators, t: GraphMap, z: complex, order: int = 40, tol: float = KERNEL_TOL
-) -> complex:
+def lefschetz_zeta(ops: Operators, t: GraphMap, z: complex, order: int = 40) -> complex:
     """Truncated zeta function exp(sum_{n<=order} L(T^n) z^n / n).
 
     L(T^n) is periodic in n with the period of T, so only the powers in one
-    period (at most ``order`` of them) are passed to lefschetz.
+    period (at most ``order`` of them) are summed over their fixed simplices.
     """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
     if abs(z) >= 1:
         raise ValueError("the series requires |z| < 1")
-    identity = dict(zip(ops.complex.host.vertices, ops.complex.host.vertices))
+    c = ops.complex
+    identity = dict(zip(c.host.vertices, c.host.vertices))
     period = []
     power = identity
     while len(period) < order:
         power = compose(t, power)
-        period.append(lefschetz(ops, power, tol).lefschetz)
+        period.append(sum(i for _, i in _fixed_simplices(c, power)))
         if power == identity:
             break
     total = sum((period[(n - 1) % len(period)] * z ** n / n for n in range(1, order + 1)), 0j)

@@ -9,10 +9,11 @@ closed forms.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from diracgraph import (
     compose,
     example_graph,
     lefschetz,
+    morphisms,
     operators_for,
 )
 
@@ -40,6 +42,18 @@ def example():
 @pytest.fixture(scope="session")
 def example_ops(example):
     return operators_for(example)
+
+
+@pytest.fixture
+def corrupted_trace(monkeypatch):
+    """Add 1 to the degree-1 trace of every induced cohomology map."""
+    honest = morphisms.induced_cohomology_map
+
+    def off_by_one(ops, t, k, tol):
+        m = honest(ops, t, k, tol)
+        return m + np.eye(len(m)) if k == 1 else m
+
+    monkeypatch.setattr(morphisms, "induced_cohomology_map", off_by_one)
 
 
 def octahedron() -> SimpleGraph:
@@ -180,10 +194,21 @@ def spanning_trees_brute(g: SimpleGraph) -> int:
     return count
 
 
+def index_expectation_brute(g: SimpleGraph, x: int) -> Fraction:
+    """Average of i_f(x) = 1 - chi(S^-(x)) over all |V|! orderings of the vertices."""
+    chi = {}
+    total = 0
+    for order in permutations(g.vertices):
+        rank = {v: i for i, v in enumerate(order)}
+        below = frozenset(y for y in g.adjacency[x] if rank[y] < rank[x])
+        if below not in chi:
+            chi[below] = brute_chi(g.induced(below))
+        total += 1 - chi[below]
+    return Fraction(total, math.factorial(g.n))
+
+
 def automorphisms_brute(g: SimpleGraph) -> list[dict[int, int]]:
     """All automorphisms by filtering every permutation (test oracle)."""
-    from itertools import permutations
-
     out = []
     for perm in permutations(g.vertices):
         t = dict(zip(g.vertices, perm))
@@ -248,13 +273,18 @@ def simplex_graph_trees_exact(g: SimpleGraph) -> int:
     return int(det)
 
 
+def trace_lefschetz(traces) -> int:
+    """The Lefschetz number as the rounded alternating sum of cohomology traces."""
+    return round(sum((-1) ** k * tr for k, tr in enumerate(traces)))
+
+
 def lefschetz_zeta_power_loop(ops, t, z, order=40):
-    """The truncated Lefschetz zeta with L(T^n) computed for every n <= order."""
+    """The truncated Lefschetz zeta with L(T^n) taken from the traces for every n <= order."""
     total = 0j
     power = dict(zip(ops.complex.host.vertices, ops.complex.host.vertices))
     for n in range(1, order + 1):
         power = compose(t, power)
-        total += lefschetz(ops, power).lefschetz * z ** n / n
+        total += trace_lefschetz(lefschetz(ops, power).traces) * z ** n / n
     return complex(np.exp(total))
 
 

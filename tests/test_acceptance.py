@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 import diracgraph as dg
-from conftest import cauchy_binet_minor_sum, erdos_renyi, random_suite, spanning_trees_brute
+from conftest import (
+    cauchy_binet_minor_sum,
+    erdos_renyi,
+    index_expectation_brute,
+    random_suite,
+    spanning_trees_brute,
+    trace_lefschetz,
+)
 
 GOLDEN_CHARPOLY = [1, 0, -24, 0, 242, 0, -1334, 0, 4377, 0, -8706, 0,
                    10187, 0, -6370, 0, 1624, 0, 0]
@@ -178,8 +185,9 @@ def test_criterion_3_index_expectation_oracle():
     for idx, g in enumerate(subsuite):
         for x in g.vertices:
             expected = dg.curvature(g, x)
+            oracle = index_expectation_brute(g, x)
             actual = dg.index_expectation(g, x, mode="exact")
-            checks.append((f"g{idx} vertex {x}: E[i] = K", actual == expected))
+            checks.append((f"g{idx} vertex {x}: E[i] = K", oracle == actual == expected))
     report("criterion 3 (index expectation equals curvature, exact)", checks)
 
 
@@ -273,7 +281,7 @@ def test_criterion_8_lefschetz(suite):
         ok = True
         for t in dg.automorphisms(g):
             r = dg.lefschetz(ops, t)
-            if r.lefschetz != r.index_sum:
+            if not trace_lefschetz(r.traces) == r.lefschetz == sum(i for _, i in r.fixed_simplices):
                 ok = False
         checks.append((f"g{idx} L(T) = sum of indices", ok))
     report("criterion 8 (Lefschetz fixed point data)", checks)

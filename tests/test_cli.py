@@ -101,6 +101,15 @@ def test_morse_explicit_function(example_file, capsys):
     assert report["indices"]["6"] == -1
 
 
+def test_morse_rejects_nan_value(tmp_path, capsys):
+    # triangle with a pendant vertex (chi = 1); NaN used to give indices summing to 2
+    path = tmp_path / "t.edges"
+    path.write_text("1 2\n2 3\n1 3\n3 4\n")
+    code, out, err = run(capsys, "morse", str(path), "--f", "nan,1,2,3")
+    assert (code, out) == (1, "")
+    assert err == "error: function values must not be NaN\n"
+
+
 def test_zeta_command(example_file, capsys):
     code, out, _ = run(capsys, "zeta", example_file, "--s", "-2", "--format", "json")
     assert code == 0
@@ -265,6 +274,8 @@ def test_exit_code_internal_error(example_file, capsys, monkeypatch):
     ["zeta", "--s", "inf", "--format", "json"],
     ["zeta", "--s", "1+nanj"],
     ["lefschetz", "--z", "nan", "--format", "json"],
+    ["lefschetz", "--order", "-3"],
+    ["lefschetz", "--order", "0", "--z", "0.3"],
 ])
 def test_non_finite_or_negative_options_exit_usage(tmp_path, capsys, options):
     triangle = tmp_path / "triangle.edges"
@@ -273,6 +284,28 @@ def test_non_finite_or_negative_options_exit_usage(tmp_path, capsys, options):
     code, out, err = run(capsys, options[0], str(triangle), *options[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options", [
+    ["curvature", "--max-dim", "0"],
+    ["trees", "--tol", "1e-6"],
+    ["distance", "--seed", "3"],
+    ["morse", "--f", "1,2,3", "--tol", "1e-6"],
+    ["analyze", "--seed", "3"],
+])
+def test_options_a_command_does_not_read_are_rejected(example_file, capsys, options):
+    inputs = [example_file] * (2 if options[0] == "distance" else 1)
+    code, out, err = run(capsys, options[0], *inputs, *options[1:])
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {options[-2]}" in err
+
+
+def test_corrupted_lefschetz_trace_exits_internal(tmp_path, capsys, corrupted_trace):
+    c5 = tmp_path / "c5.edges"
+    c5.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
+    code, out, err = run(capsys, "lefschetz", str(c5))
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: harmonic traces miss") and err.count("\n") == 1
 
 
 def test_unrenderable_report_exits_usage(example_file, capsys, monkeypatch):

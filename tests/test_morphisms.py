@@ -7,6 +7,7 @@ import pytest
 
 from diracgraph import (
     CapacityError,
+    ConsistencyError,
     SimpleGraph,
     automorphisms,
     betti_numbers,
@@ -19,7 +20,7 @@ from diracgraph import (
     lefschetz_zeta,
     operators_for,
 )
-from conftest import automorphisms_brute, erdos_renyi
+from conftest import automorphisms_brute, erdos_renyi, trace_lefschetz
 
 C5_REFLECTION = {1: 1, 2: 5, 5: 2, 3: 4, 4: 3}
 C5_ROTATION = {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
@@ -88,7 +89,7 @@ def test_lefschetz_reflection_on_c5():
     rep = lefschetz(ops, C5_REFLECTION)
     assert rep.lefschetz == 2
     assert rep.fixed_simplices == (((1,), 1), ((3, 4), 1))
-    assert rep.index_sum == 2
+    assert trace_lefschetz(rep.traces) == 2
 
 
 def test_lefschetz_rotation_on_c5():
@@ -103,7 +104,7 @@ def test_lefschetz_identity_is_euler_characteristic(example, example_ops):
     rep = lefschetz(example_ops, {v: v for v in example.vertices})
     assert rep.lefschetz == graph_euler_characteristic(example) == 0
     assert len(rep.fixed_simplices) == example_ops.v
-    assert rep.index_sum == rep.lefschetz
+    assert trace_lefschetz(rep.traces) == sum(i for _, i in rep.fixed_simplices) == 0
 
 
 def test_brouwer_lefschetz_over_random_suite():
@@ -114,9 +115,16 @@ def test_brouwer_lefschetz_over_random_suite():
         ops = operators_for(g)
         for t in automorphisms(g):
             rep = lefschetz(ops, t)
-            assert rep.lefschetz == rep.index_sum
+            assert trace_lefschetz(rep.traces) == rep.lefschetz
+            assert rep.lefschetz == sum(i for _, i in rep.fixed_simplices)
             assert all(abs(tr - round(tr)) < 1e-8 for tr in rep.traces)
         checked += 1
+
+
+def test_corrupted_trace_is_consistency_error(corrupted_trace):
+    ops = operators_for(SimpleGraph.cycle(5))
+    with pytest.raises(ConsistencyError, match="fixed-simplex Lefschetz number 2"):
+        lefschetz(ops, C5_REFLECTION)
 
 
 def test_contractible_graphs_have_fixed_simplices():

@@ -1,4 +1,4 @@
-"""Property tests on random graphs with at most six vertices, against oracles."""
+"""Property tests on random graphs with at most six or seven vertices, against oracles."""
 
 from itertools import combinations
 
@@ -17,14 +17,18 @@ from diracgraph import (
     dirac_charpoly,
     dirac_zeta,
     eta,
+    index_expectation,
     lax_deform,
     lefschetz_zeta,
     operators_for,
     path_count,
+    poincare_hopf,
     simplex_graph_trees,
 )
 from conftest import (
     betti_exact,
+    brute_chi,
+    index_expectation_brute,
     lefschetz_zeta_power_loop,
     simplex_graph_trees_exact,
 )
@@ -101,6 +105,19 @@ def test_contract_verdict_agrees_with_exact_betti_numbers(g):
         assert result.contractible == (b == point)
     # removing a vertex with a contractible unit sphere keeps the homotopy type
     assert np.trim_zeros(betti_exact(result.reduced), "b") == np.trim_zeros(b, "b")
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(max_n=7), st.data())
+def test_star_indices_match_every_ordering(g, data):
+    x = data.draw(st.sampled_from(g.vertices))
+    assert index_expectation(g, x, mode="exact") == index_expectation_brute(g, x)
+    order = data.draw(st.permutations(g.vertices))
+    rank = {v: i for i, v in enumerate(order)}
+    indices = poincare_hopf(g, rank).indices
+    for y in g.vertices:
+        below = [u for u in g.adjacency[y] if rank[u] < rank[y]]
+        assert indices[y] == 1 - brute_chi(g.induced(below))
 
 
 @PROPERTY_SETTINGS
