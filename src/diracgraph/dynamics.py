@@ -25,7 +25,13 @@ sqrt(d d*) - sqrt(d* d), block diagonal with b^2 = L.
 
 lax_deform evaluates this solution at t = i h, so h is a sampling
 interval, not a step size.  One SVD per block is taken per run, and every
-state of the run shares those factors.
+state of the run shares those factors.  The same factors give the
+eigenvectors of D(t) in closed form: on each triple D(t) acts on span(u, w)
+as [[beta, a], [conj a, -beta]], with eigenvalues +-s, and the complement
+of all u and w is the kernel.  So a state's spectrum_error is a certified
+Weyl upper bound on max |eig D(t) - eig D| from the residual of D(t) in
+that eigenframe, not the drift of a dense eigendecomposition per sample
+(see _Eigenframe).
 """
 
 from __future__ import annotations
@@ -125,20 +131,30 @@ class LaxFactors:
     triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     complexified: bool
 
-    def blocks(self, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The blocks d_k(t) and the diagonal blocks b_k(t) at time t.
-
-        b_k(t) is real in both variants.
-        """
-        b = [np.zeros((n, n)) for n in np.diff(self.offsets)]
-        d = []
-        for k, (u, s, w) in enumerate(self.triples):
+    def coefficients(self, t: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(a, beta) of each block at time t: a = s sech 2st, times the phase
+        exp(i log cosh 2st) if complexified, and beta = s tanh 2st."""
+        out = []
+        for u, s, w in self.triples:
             x = 2.0 * s * t
             decay = np.exp(-x)  # sech and log cosh in forms that cannot overflow
             a = s * 2.0 * decay / (1.0 + decay * decay)
             if self.complexified:
                 a = a * np.exp(1j * (x + np.log1p(decay * decay) - np.log(2.0)))
-            beta = s * np.tanh(x)
+            out.append((a, s * np.tanh(x)))
+        return out
+
+    def blocks(self, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The blocks d_k(t) and the diagonal blocks b_k(t) at time t.
+
+        b_k(t) is real in both variants.
+        """
+        return self._assemble(self.coefficients(t))
+
+    def _assemble(self, coefficients) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        b = [np.zeros((n, n)) for n in np.diff(self.offsets)]
+        d = []
+        for k, ((u, s, w), (a, beta)) in enumerate(zip(self.triples, coefficients)):
             d.append((u * a) @ w.T)
             b[k + 1] += (u * beta) @ u.T
             b[k] -= (w * beta) @ w.T
@@ -156,6 +172,92 @@ class LaxFactors:
         for k, blk in enumerate(b):
             m[strata[k], strata[k]] = blk
         return m
+
+
+@dataclass(frozen=True)
+class _Eigenframe:
+    """The closed-form eigenvectors of D(t), and the constants of their Weyl bound.
+
+    frames[k] = [u | w | kernel] is square in stratum k: the u columns of
+    the triples of d_{k-1}, the w columns of those of d_k, then an
+    orthonormal basis of their complement, which lies in ker D(t) at every
+    t.  Together the frames make a v x v matrix Z0, block diagonal up to the
+    order of its columns.  On each triple D(t) acts on span(u, w) as
+    M = [[beta, a], [conj a, -beta]], whose eigenvalues are +-s' with
+    s' = hypot(beta, |a|) (= s up to rounding).  With tan 2 theta = |a| / beta
+    (= sech 2st / tanh 2st) and the phase p = a / |a|, its eigenvectors are
+
+        z+ = u cos theta + conj(p) w sin theta   (eigenvalue s'),
+        z- = -u sin theta + conj(p) w cos theta  (eigenvalue -s'),
+
+    so Z(t) = Z0 G(t), G(t) unitary, is an eigenframe of the closed form
+    with Lam = (s', -s', 0, ...), and the residual
+
+        R = D(t) Z(t) - Z(t) Lam = (D(t) Z0 - Z0 M(t)) G(t)
+
+    has ||R||_F = ||D(t) Z0 - Z0 M(t)||_F.  spectrum_bound takes that norm
+    from the blocks of D(t) in the fixed frame, stratum by stratum, so
+    neither G(t) nor the dense D(t) is formed.
+
+    The certificate.  Let E = Z*Z - I, whose 2-norm
+    delta = ||Z0* Z0 - I|| = max_k ||frames[k]* frames[k] - I|| does not
+    depend on t, and let Z = Q P be the polar decomposition, Q unitary,
+    P = (Z*Z)^(1/2).  Then Q* D(t) Q = P Lam P^-1 + Q* R P^-1 = Lam + F
+    with the Hermitian
+
+        F = [P - I, Lam] P^-1 + Q* R P^-1.
+
+    The eigenvalues of P are sqrt(1 + e), |e| <= delta, so ||P - I|| <= delta
+    and ||P^-1|| <= (1 - delta)^(-1/2) <= 1 + delta for delta <= 1/2, and
+    ||[X, Lam]|| <= 2 max s' ||X||.  Weyl's inequality on Lam + F gives
+
+        |eig_i D(t) - sort(Lam)_i| <= ||F|| <= (1 + delta) ||R||_F + c max s delta
+
+    with c = 2 (1 + delta) <= 3.  Sorting is 1-Lipschitz in the max norm, so
+    max |sort(Lam) - eig D| <= off + max |s' - s| with
+    off = max |sort(s, -s, 0, ...) - eig D| taken once per run; the sum of
+    these terms bounds max_i |eig_i D(t) - eig_i D|.  It holds for the
+    rounded blocks of D(t) up to the rounding of the products that form R,
+    delta and off, O(v eps max s), the order of the error of a dense
+    symmetric eigensolver itself.  A frame with delta > 1/2 certifies
+    nothing, and its offset is inf.
+    """
+
+    frames: tuple[np.ndarray, ...]
+    triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    delta: float
+    offset: float  # off + c max s delta
+
+    def spectrum_bound(self, coefficients, d: list[np.ndarray], b: list[np.ndarray]) -> float:
+        """The bound on max |eig D(t) - eig D| for the blocks d, b that
+        LaxFactors builds from coefficients."""
+        square = 0.0
+        drift = 0.0
+        lead = 0  # the u columns of d_{k-1} lead frames[k]
+        for k, q in enumerate(self.frames):
+            # column block k of D(t) Z0 - Z0 M(t), in the rows of strata k-1, k, k+1
+            mid = b[k] @ q
+            rows = [mid]
+            if k:  # the u columns of d_{k-1}: D u = beta u + conj(a) w
+                u, _, w = self.triples[k - 1]
+                a, beta = coefficients[k - 1]
+                below = d[k - 1].conj().T @ q
+                below[:, :lead] -= w * a.conj()
+                mid[:, :lead] -= u * beta
+                rows.append(below)
+            if k < len(d):  # the w columns of d_k: D w = a u - beta w
+                u, s, w = self.triples[k]
+                a, beta = coefficients[k]
+                cols = slice(lead, lead + s.size)
+                above = d[k] @ q
+                above[:, cols] -= u * a
+                mid[:, cols] += w * beta
+                rows.append(above)
+                s_rounded = np.hypot(beta, np.abs(a))  # the eigenvalues of M are +-s_rounded
+                drift = max(drift, float(np.max(np.abs(s_rounded - s), initial=0.0)))
+                lead = s.size
+            square += sum(float(np.vdot(x, x).real) for x in rows)
+        return self.offset + drift + (1.0 + self.delta) * square**0.5
 
 
 @dataclass(frozen=True)
@@ -193,11 +295,11 @@ def _max_abs(blocks) -> float:
     return max((float(np.max(np.abs(x))) for x in blocks), default=0.0)
 
 
-def _sample(factors: LaxFactors, ops: Operators, t: float) -> DeformationState:
+def _sample(factors: LaxFactors, frame: _Eigenframe, ops: Operators, t: float) -> DeformationState:
     """The state at t, with the residuals of the matrices rebuilt at t."""
-    d, b = factors.blocks(t)
-    eigs = np.linalg.eigvalsh(factors.dense(d, b, adjoint=True))
-    spec_err = float(np.max(np.abs(eigs - ops.dirac_eigensystem[0]))) if eigs.size else 0.0
+    coefficients = factors.coefficients(t)
+    d, b = factors._assemble(coefficients)
+    spec_err = frame.spectrum_bound(coefficients, d, b)
     # D(t)^2 - L is Hermitian; below its diagonal it has the (k+1, k)
     # blocks d_k b_k + b_{k+1} d_k and the (k+2, k) blocks d_{k+1} d_k
     nil = [d[k + 1] @ d[k] for k in range(len(d) - 1)]
@@ -228,21 +330,24 @@ def lax_deform(
     """The isospectral deformation from d(0) = d, b(0) = 0, sampled at t = i h.
 
     The flow is evaluated in closed form (see the module docstring) at
-    every t = i h up to round(t_final / h) h.  Each state records residuals
-    of the matrices rebuilt at its t: the spectral drift
-    max |eig D(t) - eig D|, the nilpotency max |d(t)^2| and the entrywise
-    drift max |D(t)^2 - L|.  The closed form keeps them at rounding level,
-    so nilpotency or spectral drift beyond its bound is a bug and raises
-    ConsistencyError.
+    every t = i h up to round(t_final / h) h.  Each state records
+    diagnostics of the matrices rebuilt at its t: spectrum_error, a
+    certified Weyl upper bound on the spectral drift max |eig D(t) - eig D|
+    from the residual of D(t) in its closed-form eigenframe (see
+    _Eigenframe; no eigendecomposition per sample), the nilpotency
+    max |d(t)^2| and the entrywise drift max |D(t)^2 - L|.  The closed form
+    keeps them at rounding level, so nilpotency or spectral drift beyond
+    its bound is a bug and raises ConsistencyError.
     """
     if t_final <= 0 or h <= 0:
         raise ValueError("t_final and h must be positive")
     if variant not in ("real", "complexified"):
         raise ValueError(f"unknown variant {variant!r}")
     factors = _lax_factors(ops, variant == "complexified")
+    frame = _eigenframe(factors, ops)
     states = []
     for i in range(int(round(t_final / h)) + 1):
-        state = _sample(factors, ops, i * h)
+        state = _sample(factors, frame, ops, i * h)
         if state.nilpotency_error > nilpotency_bound or state.spectrum_error > spectrum_bound:
             raise ConsistencyError(
                 f"Lax state at t = {state.t:g} breaches its bounds: nilpotency"
@@ -262,8 +367,32 @@ def _lax_factors(ops: Operators, complexified: bool) -> LaxFactors:
     return LaxFactors(ops.offsets + (ops.v,), tuple(triples), complexified)
 
 
+def _eigenframe(factors: LaxFactors, ops: Operators) -> _Eigenframe:
+    """The frames of _Eigenframe with their delta and offset, once per run."""
+    spans = [[np.zeros((hi - lo, 0))] for lo, hi in zip(factors.offsets, factors.offsets[1:])]
+    for k, (u, _, w) in enumerate(factors.triples):
+        spans[k + 1].append(u)
+        spans[k].append(w)
+    frames = []
+    for span in spans:
+        basis = np.hstack(span)
+        complement = np.linalg.qr(basis, mode="complete").Q[:, basis.shape[1] :]
+        frames.append(np.hstack([basis, complement]))
+    delta = max((float(np.linalg.norm(q.T @ q - np.eye(len(q)), 2)) for q in frames), default=0.0)
+    s = np.concatenate([np.zeros(0)] + [s for _, s, _ in factors.triples])
+    lam = np.sort(np.concatenate([s, -s, np.zeros(factors.offsets[-1] - 2 * s.size)]))
+    off = float(np.max(np.abs(lam - ops.dirac_eigensystem[0]), initial=0.0))
+    c = 2.0 * (1.0 + delta)
+    offset = off + c * float(np.max(s, initial=0.0)) * delta if delta <= 0.5 else np.inf
+    return _Eigenframe(tuple(frames), factors.triples, delta, offset)
+
+
 def trajectory_csv(states: list[DeformationState]) -> str:
-    """CSV with one diagnostics row per sample."""
+    """CSV with one diagnostics row per sample.
+
+    spectrumError is the state's spectrum_error: a certified Weyl upper
+    bound on max |eig D(t) - eig D|, not the drift of an eigendecomposition.
+    """
     lines = ["t,trM,spectrumError,nilpotencyError"]
     for s in states:
         lines.append(

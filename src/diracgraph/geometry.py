@@ -74,6 +74,8 @@ def poincare_hopf(g: SimpleGraph, f: Mapping[int, float] | Sequence[float]) -> M
         raise ValueError("function must be defined exactly on the vertices")
     if any(math.isnan(value) for value in f.values()):
         raise ValueError("function values must not be NaN")
+    if any(math.isinf(value) for value in f.values()):
+        raise ValueError("function values must not be infinite")
     if len(set(f.values())) != g.n:
         raise ValueError("function must be injective (ties are undefined)")
     indices = {x: _star_index(build_complex(unit_sphere(g, x)), f, x) for x in g.vertices}

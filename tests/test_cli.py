@@ -110,6 +110,16 @@ def test_morse_rejects_nan_value(tmp_path, capsys):
     assert err == "error: function values must not be NaN\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_morse_rejects_infinite_value_in_every_format(tmp_path, capsys, fmt, value):
+    path = tmp_path / "t.edges"
+    path.write_text("1 2\n2 3\n1 3\n3 4\n")
+    code, out, err = run(capsys, "morse", str(path), f"--f={value},1,2,3", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: function values must not be infinite\n"
+
+
 def test_zeta_command(example_file, capsys):
     code, out, _ = run(capsys, "zeta", example_file, "--s", "-2", "--format", "json")
     assert code == 0

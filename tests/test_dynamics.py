@@ -242,6 +242,44 @@ def test_consistency_error_on_corrupt_factors(example_ops, monkeypatch, corrupt)
         lax_deform(example_ops, 1.0, 0.1)
 
 
+def _dense_drift(ops, state):
+    """max |eig D(t) - eig D| from a dense eigendecomposition of the state."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(state.dirac) - ops.dirac_eigensystem[0])))
+
+
+@pytest.mark.parametrize("variant", ["real", "complexified"])
+def test_spectrum_bound_covers_a_perturbed_b(example_ops, monkeypatch, variant):
+    # scale b(t) by 1 + 1e-6 in every assembly, so the states' own dirac
+    # carries the fault; the certified bound must still cover its drift
+    exact = dynamics.LaxFactors._assemble
+
+    def perturbed(self, coefficients):
+        d, b = exact(self, coefficients)
+        return d, [(1.0 + 1e-6) * bk for bk in b]
+
+    monkeypatch.setattr(dynamics.LaxFactors, "_assemble", perturbed)
+    states = lax_deform(example_ops, 2.0, 0.1, variant=variant, spectrum_bound=1.0)
+    drifts = [_dense_drift(example_ops, s) for s in states]
+    assert max(drifts) > 1e-7  # the fault is visible in the spectrum
+    for s, drift in zip(states, drifts):
+        assert drift <= s.spectrum_error
+
+
+@pytest.mark.parametrize("graph", [
+    SimpleGraph([0], []),
+    SimpleGraph(range(4), []),  # edgeless: no triples, the frame is all kernel
+    SimpleGraph(range(6), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),  # triangle-free
+])
+@pytest.mark.parametrize("variant", ["real", "complexified"])
+def test_lax_deform_on_degenerate_frames(graph, variant):
+    ops = operators_for(graph)
+    states = lax_deform(ops, 1.0, 0.25, variant=variant)
+    assert len(states) == 5
+    for s in states:
+        assert _dense_drift(ops, s) <= s.spectrum_error <= 1e-13
+        assert s.nilpotency_error == 0.0
+
+
 def test_lax_invariants_along_trajectory(example_ops):
     states = lax_deform(example_ops, 2.0, 0.01)
     l0 = example_ops.laplacian.astype(float)

@@ -113,6 +113,14 @@ def test_poincare_hopf_rejects_nan():
         poincare_hopf(g, [float("nan"), 1, 2, 3])
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_poincare_hopf_rejects_infinite_values(value):
+    # an infinite value orders fine, but it cannot be reported in JSON
+    g = SimpleGraph(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(ValueError, match="infinite"):
+        poincare_hopf(g, [value, 1, 2, 3])
+
+
 def test_index_expectation_exact_is_curvature(example):
     oracle = index_expectation_brute(example, 1)
     assert oracle == Fraction(1, 3) == curvature(example, 1)

@@ -143,3 +143,17 @@ def test_lax_states_are_residual_free_and_follow_the_closed_form(g, t_final, var
         assert s.tr_m == pytest.approx(tr_m, rel=1e-12)
     tr = [s.tr_m for s in states]
     assert all(b <= a + 1e-12 for a, b in zip(tr, tr[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(), st.floats(0.01, 5.0), st.sampled_from(["real", "complexified"]))
+def test_lax_spectrum_error_bounds_the_dense_drift(g, t_final, variant):
+    # spectrum_error is a certified bound, so it may not fall below the drift
+    # that a dense eigvalsh of the same matrix observes, beyond the rounding
+    # of eigvalsh itself
+    ops = operators_for(g)
+    eigs = ops.dirac_eigensystem[0]
+    slack = 8 * np.finfo(float).eps * ops.v * float(np.max(np.abs(eigs)))
+    for s in lax_deform(ops, t_final, t_final / 4, variant=variant):
+        drift = float(np.max(np.abs(np.linalg.eigvalsh(s.dirac) - eigs)))
+        assert s.spectrum_error >= drift - slack
