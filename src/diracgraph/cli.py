@@ -385,6 +385,9 @@ def main(argv=None) -> int:
     except ComputationError as e:
         print(f"computation error: {e}", file=sys.stderr)
         return EXIT_COMPUTATION
+    except ArithmeticError as e:  # a float result beyond double range (OverflowError)
+        print(f"computation error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_COMPUTATION
     except ConsistencyError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,10 +1,10 @@
 """Local geometry on graphs: curvature, Morse indices, dimension, homotopy.
 
-Curvature is the alternating sum K(x) = sum_k (-1)^k V_{k-1}(x)/(k+1)
-over clique counts V_j(x) of the unit sphere, with V_{-1} = 1.  The
-denominators make Gauss-Bonnet (sum of K = Euler characteristic) an exact
-rational identity via the handshake lemma, and they are what the worked
-curvature vectors in the literature satisfy.
+Vertex-local quantities are sums over the simplices s that contain x, read
+in one pass over the clique complex: the curvature K(x) = sum of
+(-1)^dim s / |s|, the Poincare-Hopf indices and chi(S(x)) = 1 - sum of
+(-1)^dim s, since the cliques of the unit sphere S(x) are the faces s - {x}.
+Each simplex hands 1/|s| to each vertex: Gauss-Bonnet reindexes chi.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import CliqueComplex, SimpleGraph, build_complex, graph_euler_characteristic
+from .complexes import SimpleGraph, build_complex
 
 
 def unit_sphere(g: SimpleGraph, x: int) -> SimpleGraph:
@@ -25,17 +25,28 @@ def unit_sphere(g: SimpleGraph, x: int) -> SimpleGraph:
     return g.induced(g.adjacency[x])
 
 
+def _star_counts(g: SimpleGraph) -> dict[int, list[int]]:
+    """For each vertex x, the number of k-simplices that contain x, by k."""
+    c = build_complex(g)
+    counts = {x: [0] * len(c.strata) for x in g.vertices}
+    for s in c.simplices:
+        for x in s:
+            counts[x][len(s) - 1] += 1
+    return counts
+
+
 def curvature(g: SimpleGraph, x: int) -> Fraction:
     """Exact rational curvature of a vertex."""
-    sphere_counts = build_complex(unit_sphere(g, x)).counts
-    k_x = Fraction(1, 1)
-    for k, count in enumerate(sphere_counts):
-        k_x += Fraction((-1) ** (k + 1) * count, k + 2)
-    return k_x
+    if x not in g.position:
+        raise ValueError(f"unknown vertex {x}")
+    return curvature_vector(g)[x]
 
 
 def curvature_vector(g: SimpleGraph) -> dict[int, Fraction]:
-    return {x: curvature(g, x) for x in g.vertices}
+    return {
+        x: sum(Fraction((-1) ** k * n, k + 1) for k, n in enumerate(counts))
+        for x, counts in _star_counts(g).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -49,22 +60,12 @@ class MorseData:
         return sum(self.indices.values())
 
 
-def _star_index(star: CliqueComplex, f: Mapping[int, float], x: int) -> int:
-    """Index of x on its star: 1 + sum of (-1)^|s| over the cliques s of S(x) below x.
-
-    star is the clique complex of the unit sphere S(x).  Each clique s
-    stands for the simplex s + {x}, and the empty clique gives the 1, so
-    the sum is 1 - chi(S^-(x)).
-    """
-    fx = f[x]
-    return 1 + sum((-1) ** len(s) for s in star.simplices if all(f[y] < fx for y in s))
-
-
 def poincare_hopf(g: SimpleGraph, f: Mapping[int, float] | Sequence[float]) -> MorseData:
     """Indices i_f(x) = 1 - chi(S^-(x)) of an injective vertex function.
 
-    S^-(x) is the induced subgraph on neighbors with smaller f-value; the
-    indices always sum to the Euler characteristic.
+    S^-(x) is the induced subgraph on neighbors with smaller f-value.  Its
+    cliques are the simplices s with f-maximum x, less x, so i_f(x) sums
+    (-1)^dim s over them; every s has one f-maximum, so the indices sum to chi.
     """
     if not isinstance(f, Mapping):
         if len(f) != g.n:
@@ -78,7 +79,9 @@ def poincare_hopf(g: SimpleGraph, f: Mapping[int, float] | Sequence[float]) -> M
         raise ValueError("function values must not be infinite")
     if len(set(f.values())) != g.n:
         raise ValueError("function must be injective (ties are undefined)")
-    indices = {x: _star_index(build_complex(unit_sphere(g, x)), f, x) for x in g.vertices}
+    indices = dict.fromkeys(g.vertices, 0)
+    for s in build_complex(g).simplices:
+        indices[max(s, key=f.get)] += (-1) ** (len(s) - 1)
     critical = tuple(x for x in g.vertices if indices[x] != 0)
     return MorseData(f=dict(f), indices=indices, critical=critical)
 
@@ -99,13 +102,12 @@ def index_expectation(
 ):
     """Average Poincare-Hopf index of x over injective vertex functions.
 
-    Exact mode returns the curvature K(x), which is that average: by the
-    star sum in _star_index, i_f(x) = sum of (-1)^|s| over the cliques s of
-    S(x) (the empty one included) that lie below x.  A clique with |s|
-    vertices lies below x in exactly 1/(|s|+1) of all orderings, so by
-    linearity E[i_f(x)] = sum of (-1)^|s|/(|s|+1) = K(x) (Knill,
-    arXiv:1202.4514).  Monte Carlo mode samples random orderings and
-    reports mean and standard error.
+    Exact mode returns the curvature K(x), which is that average: i_f(x) is
+    the sum of (-1)^dim s over the simplices s that contain x and have x as
+    their f-maximum, and x is the top vertex of s in exactly 1/|s| of all
+    orderings, so by linearity E[i_f(x)] = sum of (-1)^dim s / |s| = K(x)
+    (Knill, arXiv:1202.4514).  Monte Carlo mode samples random orderings
+    and reports mean and standard error.
     """
     if x not in g.position:
         raise ValueError(f"unknown vertex {x}")
@@ -114,14 +116,15 @@ def index_expectation(
     if mode == "montecarlo":
         if samples < 1:
             raise ValueError(f"montecarlo mode needs at least one sample, got {samples}")
-        star = build_complex(unit_sphere(g, x))
+        star = [s for s in build_complex(g).simplices if x in s]
         rng = random.Random(seed)
         verts = list(g.vertices)
         values = []
         for _ in range(samples):
             order = verts[:]
             rng.shuffle(order)
-            values.append(_star_index(star, {v: i for i, v in enumerate(order)}, x))
+            rank = {v: i for i, v in enumerate(order)}
+            values.append(sum((-1) ** (len(s) - 1) for s in star if max(map(rank.get, s)) == rank[x]))
         mean = sum(values) / samples
         var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
         return MonteCarloEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples)
@@ -153,24 +156,20 @@ def is_geometric(g: SimpleGraph, k: int) -> bool:
 
     Base case k = 1: every unit sphere is two isolated vertices.  For
     k >= 2 every sphere must be geometric of dimension k-1 with Euler
-    characteristic 1 + (-1)^(k-1), the value that makes one-dimensional
-    spheres circles (chi = 0) and two-dimensional ones chi = 2.
+    characteristic 1 + (-1)^(k-1) (circles have chi = 0, two-dimensional
+    spheres chi = 2), read from the star sums of one complex of g.
     """
     if k < 1:
         raise ValueError("geometric dimension starts at 1")
     if g.n == 0:
         return False
-    for x in g.vertices:
-        s = unit_sphere(g, x)
-        if k == 1:
-            if s.n != 2 or s.m != 0:
-                return False
-        else:
-            if graph_euler_characteristic(s) != 1 + (-1) ** (k - 1):
-                return False
-            if not is_geometric(s, k - 1):
-                return False
-    return True
+    if k == 1:
+        return all(g.degree(x) == 2 and unit_sphere(g, x).m == 0 for x in g.vertices)
+    return all(
+        1 - sum((-1) ** j * n for j, n in enumerate(counts)) == 1 + (-1) ** (k - 1)
+        and is_geometric(unit_sphere(g, x), k - 1)
+        for x, counts in _star_counts(g).items()
+    )
 
 
 @dataclass(frozen=True)

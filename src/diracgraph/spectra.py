@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import exp, fsum, log
+from math import exp, fsum, isinf, log
 from numbers import Integral
 
 import numpy as np
@@ -68,7 +68,7 @@ def dirac_charpoly(ops: Operators) -> list[int]:
 
 
 def pseudo_det(m: np.ndarray, tol: float = KERNEL_TOL) -> float:
-    """Product of the nonzero eigenvalues of a symmetric matrix (empty = 1)."""
+    """Product of the nonzero eigenvalues of a symmetric matrix (empty = 1, overflow = inf)."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 1.0
@@ -77,11 +77,42 @@ def pseudo_det(m: np.ndarray, tol: float = KERNEL_TOL) -> float:
     eigs = np.linalg.eigvalsh(m)
     cut = kernel_cut(eigs, tol)
     nonzero = eigs[np.abs(eigs) > cut]
-    return float(np.prod(nonzero)) if nonzero.size else 1.0
+    with np.errstate(over="ignore"):  # a product beyond double range is inf
+        return float(np.prod(nonzero)) if nonzero.size else 1.0
+
+
+# two primes below 2**31: every product of two residues fits in int64
+_TREE_PRIMES = (2147483647, 2147483629)
+
+
+def _det_mod(a: np.ndarray, p: int) -> int:
+    """Determinant of an integer matrix modulo a prime p < 2**31, by int64 elimination."""
+    a = a % p
+    det = 1
+    for k in range(len(a)):
+        rows = np.flatnonzero(a[k:, k])
+        if rows.size == 0:
+            return 0
+        if rows[0]:
+            a[[k, k + rows[0]]] = a[[k + rows[0], k]]
+            det = -det
+        pivot = int(a[k, k])
+        det = det * pivot % p
+        factors = a[k + 1 :, k] * pow(pivot, -1, p) % p
+        a[k + 1 :, k:] = (a[k + 1 :, k:] - np.outer(factors, a[k, k:]) % p) % p
+    return det
 
 
 def kirchhoff_trees(g: SimpleGraph) -> int:
-    """Spanning trees of a connected graph via the scalar Laplacian."""
+    """Spanning trees of a connected graph via the scalar Laplacian.
+
+    The float estimate pseudo_det(L)/n picks the method.  Below 2**60 the
+    count is the determinant of the reduced Laplacian, exact: it is taken
+    modulo two primes near 2**31 and combined by the Chinese remainder
+    theorem, whose range 2**62 holds it.  Larger counts are the rounded
+    estimate, which is float-rounded beyond 2**53; an estimate that
+    overflows raises OverflowError.
+    """
     if g.n == 0:
         raise ComputationError("spanning trees of the empty graph are undefined")
     if not g.is_connected():
@@ -92,14 +123,23 @@ def kirchhoff_trees(g: SimpleGraph) -> int:
     if g.n == 1:
         return 1
     pos = g.position
-    l0 = np.zeros((g.n, g.n))
+    l0 = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v in g.edges:
         i, j = pos[u], pos[v]
         l0[i, j] -= 1
         l0[j, i] -= 1
         l0[i, i] += 1
         l0[j, j] += 1
-    return round(pseudo_det(l0) / g.n)
+    estimate = pseudo_det(l0) / g.n
+    if isinf(estimate):
+        raise OverflowError(
+            f"the spanning-tree count of this {g.n}-vertex graph overflows the float range"
+        )
+    if estimate >= 2 ** 60:
+        return round(estimate)
+    p, q = _TREE_PRIMES
+    r, s = _det_mod(l0[1:, 1:], p), _det_mod(l0[1:, 1:], q)
+    return r + p * ((s - r) * pow(p, -1, q) % q)
 
 
 def simplex_graph_trees(c: CliqueComplex) -> int:

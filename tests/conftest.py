@@ -207,6 +207,28 @@ def index_expectation_brute(g: SimpleGraph, x: int) -> Fraction:
     return Fraction(total, math.factorial(g.n))
 
 
+def sphere_curvature(g: SimpleGraph, x: int) -> Fraction:
+    """K(x) = 1 + sum_k (-1)^(k+1) V_k/(k+2) over the clique counts V_k of the unit sphere."""
+    counts = [0] * g.n
+    for s in brute_cliques(g.induced(g.adjacency[x])):
+        counts[len(s) - 1] += 1
+    return 1 + sum(Fraction((-1) ** (k + 1) * n, k + 2) for k, n in enumerate(counts))
+
+
+def sphere_is_geometric(g: SimpleGraph, k: int) -> bool:
+    """The recursive geometric-graph check, with chi taken from each unit sphere's own cliques."""
+    if g.n == 0:
+        return False
+    for x in g.vertices:
+        s = g.induced(g.adjacency[x])
+        if k == 1:
+            if s.n != 2 or s.m != 0:
+                return False
+        elif brute_chi(s) != 1 + (-1) ** (k - 1) or not sphere_is_geometric(s, k - 1):
+            return False
+    return True
+
+
 def automorphisms_brute(g: SimpleGraph) -> list[dict[int, int]]:
     """All automorphisms by filtering every permutation (test oracle)."""
     out = []

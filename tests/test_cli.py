@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, reproducibility."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import diracgraph as dg
 from diracgraph import ConsistencyError, cli
 from diracgraph.cli import main
 from diracgraph.jsonutil import canonical_json
-from conftest import GOLDEN_CHARPOLY
+from conftest import GOLDEN_CHARPOLY, erdos_renyi
 
 EXAMPLE_EDGES = "1 2\n2 3\n1 3\n3 4\n2 4\n3 5\n5 6\n4 6\n4 7\n"
 
@@ -255,6 +256,19 @@ def test_exit_code_computation_error(tmp_path, capsys):
     code, out, err = run(capsys, "distance", str(empty), str(empty))
     assert (code, out) == (2, "")
     assert err.startswith("computation error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["trees", "analyze"])
+def test_float_overflow_at_scale_exits_computation(tmp_path, capsys, monkeypatch, command):
+    # ER(100, .1) has 806 simplices: pseudo_det(L) and Det(D)^2 overflow a double
+    g = erdos_renyi(100, 0.1, random.Random(1))
+    path = tmp_path / "er100.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+    # the exact charpoly takes about 90 s at this size and does not overflow
+    monkeypatch.setattr(cli, "dirac_charpoly", lambda ops: [1])
+    code, out, err = run(capsys, command, str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("computation error: OverflowError:") and err.count("\n") == 1
 
 
 def test_exit_code_capacity_error(tmp_path, capsys):

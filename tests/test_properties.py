@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracgraph import (
@@ -14,10 +14,13 @@ from diracgraph import (
     build_complex,
     charpoly_int,
     contract,
+    curvature,
+    curvature_vector,
     dirac_charpoly,
     dirac_zeta,
     eta,
     index_expectation,
+    is_geometric,
     lax_deform,
     lefschetz_zeta,
     operators_for,
@@ -30,7 +33,10 @@ from conftest import (
     brute_chi,
     index_expectation_brute,
     lefschetz_zeta_power_loop,
+    octahedron,
     simplex_graph_trees_exact,
+    sphere_curvature,
+    sphere_is_geometric,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -72,14 +78,14 @@ def test_simplex_graph_trees_matches_exact_determinant(g):
         return
     exact = simplex_graph_trees_exact(g)
     value = simplex_graph_trees(c)
-    if exact < 2 ** 53:
+    if exact < 2 ** 60:
         assert value == exact
     else:
-        # float-rounded beyond 2^53 (ROADMAP item 1); see the strict xfail below
+        # float-rounded beyond 2^60 (ROADMAP item 4); see the strict xfail below
         assert abs(value - exact) <= 1e-12 * exact
 
 
-@pytest.mark.xfail(strict=True, reason="tree counts are float-rounded beyond 2^53")
+@pytest.mark.xfail(strict=True, reason="tree counts are float-rounded beyond 2^60")
 def test_simplex_graph_trees_exact_beyond_float_range():
     k5 = SimpleGraph.complete(5)
     assert simplex_graph_trees(build_complex(k5)) == simplex_graph_trees_exact(k5)
@@ -118,6 +124,18 @@ def test_star_indices_match_every_ordering(g, data):
     for y in g.vertices:
         below = [u for u in g.adjacency[y] if rank[u] < rank[y]]
         assert indices[y] == 1 - brute_chi(g.induced(below))
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(max_n=8))
+@example(SimpleGraph.cycle(5))
+@example(octahedron())
+def test_star_sums_match_the_unit_sphere_complexes(g):
+    ks = curvature_vector(g)
+    assert ks == {x: sphere_curvature(g, x) for x in g.vertices}
+    assert all(curvature(g, x) == ks[x] for x in g.vertices)
+    for k in (1, 2):
+        assert is_geometric(g, k) == sphere_is_geometric(g, k)
 
 
 @PROPERTY_SETTINGS

@@ -29,12 +29,15 @@ from diracgraph import (
     spectral_distance,
     zeta_derivative_at_zero,
 )
+from diracgraph import spectra
 from conftest import (
     GOLDEN_CHARPOLY,
     cauchy_binet_minor_sum,
+    det_fraction,
     erdos_renyi,
     icosahedron,
     octahedron,
+    simplex_graph_trees_exact,
     spanning_trees_brute,
 )
 
@@ -127,6 +130,38 @@ def test_kirchhoff_matches_brute_force():
             continue
         assert kirchhoff_trees(g) == spanning_trees_brute(g)
         checked += 1
+
+
+def test_kirchhoff_trees_exact_between_2_53_and_2_60():
+    # K_{9,11} has 9^10 * 11^8 (about 2^59.4) spanning trees; the float
+    # estimate is off in its last three digits
+    g = SimpleGraph(range(20), [(i, j) for i in range(9) for j in range(9, 20)])
+    assert kirchhoff_trees(g) == 9 ** 10 * 11 ** 8
+
+
+def test_det_mod_with_row_swaps():
+    # Laplacians rarely need a pivot swap, so test the elimination on
+    # matrices with zero leading entries and negative determinants
+    rng = np.random.default_rng(5)
+    for p in spectra._TREE_PRIMES:
+        for n in (1, 2, 5, 9):
+            a = rng.integers(-3, 4, size=(n, n))
+            a[0, 0] = 0
+            assert spectra._det_mod(a, p) == det_fraction(a) % p
+        assert spectra._det_mod(np.array([[0, 1], [1, 0]]), p) == p - 1
+        assert spectra._det_mod(np.array([[2, 4], [1, 2]]), p) == 0
+
+
+def test_simplex_graph_trees_regression_off_by_one():
+    # a 9-vertex graph whose 34-vertex simplex graph has about 2^45.5 trees;
+    # the float estimate round(pseudo_det / n) is 51186046079999
+    g = SimpleGraph(range(9), [
+        (0, 1), (0, 4), (0, 5), (0, 7), (1, 4), (1, 5), (1, 6), (1, 8),
+        (2, 6), (2, 8), (3, 7), (3, 8), (4, 5), (4, 7), (6, 8), (7, 8),
+    ])
+    c = build_complex(g)
+    assert c.v == 34
+    assert simplex_graph_trees(c) == 51186046080000 == simplex_graph_trees_exact(g)
 
 
 def test_simplex_graph_trees():
