@@ -11,6 +11,7 @@ import argparse
 import cmath
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .spectra import (
     kirchhoff_trees,
     magnitude,
     max_simplex_degree,
-    pseudo_det,
+    nonzero_product,
     simplex_graph_trees,
     spectral_distance,
 )
@@ -69,7 +70,11 @@ def cmd_analyze(args):
     b = hodge.betti_numbers(ops, args.tol)
     eigs = ops.dirac_eigensystem[0]
     cut = hodge.kernel_cut(eigs, args.tol)
-    pdet = pseudo_det(ops.dirac, args.tol)
+    pdet = nonzero_product(eigs, args.tol)
+    pdet_l = nonzero_product(np.sort(np.concatenate([e for e, _ in ops.block_eigensystems])), args.tol)
+    for name, value in (("Det(D)^2", pdet * pdet), ("Det(L)", pdet_l)):
+        if not np.isfinite(value):
+            raise OverflowError(f"{name} of this {c.v}-simplex complex overflows the float range")
     torsion = analytic_torsion(ops, args.tol)
     report = {
         "v": list(c.counts),
@@ -81,8 +86,7 @@ def cmd_analyze(args):
         "characteristicPolynomial": dirac_charpoly(ops),
         "analyticTorsion": torsion,
         "invariants": [
-            invariant_report("Det(D)^2 = Det(L)", pdet ** 2,
-                             pseudo_det(ops.laplacian, args.tol), 1e-6),
+            invariant_report("Det(D)^2 = Det(L)", pdet ** 2, pdet_l, 1e-6),
             invariant_report("zeta(-2) = tr(L)",
                              float(dirac_zeta(ops, -2, args.tol).value.real),
                              float(sum(np.trace(b) for b in ops.lap_blocks)), 1e-8),
@@ -187,7 +191,8 @@ def cmd_distance(args):
     h = load_edge_list(args.second)
     dist = simplex_distance(g, h)
     da, db = aligned_dirac_pair(g, h)
-    rep = spectral_distance(da, db)
+    # padded to the complete complex, the sums stay and only the size grows
+    rep = replace(spectral_distance(da, db), size=2 ** g.n - 1)
     deg = max_simplex_degree(da, db)
     report = {
         "simplexDistance": dist,
@@ -253,7 +258,7 @@ def cmd_lefschetz(args):
             ],
         }
         if args.z is not None:
-            zt = morphisms.lefschetz_zeta(ops, t, args.z, args.order)
+            zt = morphisms.lefschetz_zeta(ops, t, args.z)
             entry["zeta"] = zt
             zeta_product *= zt
         entries.append(entry)
@@ -347,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", help="path for full-matrix JSON snapshots")
     p = common(sub.add_parser("lefschetz"), "tol", "max_dim")
     p.add_argument("--z", type=complex, default=None, help="evaluate zeta_T at this point")
-    p.add_argument("--order", type=int, default=40, help="zeta series truncation order")
     return parser
 
 
@@ -362,8 +366,6 @@ def _validate(args):
         raise argparse.ArgumentTypeError("--z must be finite")
     if getattr(args, "snapshot_every", 0) < 0:
         raise argparse.ArgumentTypeError("--snapshot-every must be non-negative")
-    if getattr(args, "order", 1) < 1:
-        raise argparse.ArgumentTypeError("--order must be at least 1")
 
 
 def main(argv=None) -> int:

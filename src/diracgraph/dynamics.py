@@ -37,6 +37,7 @@ that eigenframe, not the drift of a dense eigendecomposition per sample
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context
 
 import numpy as np
 
@@ -392,10 +393,10 @@ def trajectory_csv(states: list[DeformationState]) -> str:
 
     spectrumError is the state's spectrum_error: a certified Weyl upper
     bound on max |eig D(t) - eig D|, not the drift of an eigendecomposition.
+    It and nilpotencyError are rounded up to 3 significant digits: still
+    upper bounds, and free of the residuals' rounding noise.
     """
-    lines = ["t,trM,spectrumError,nilpotencyError"]
-    for s in states:
-        lines.append(
-            f"{s.t:.6f},{s.tr_m:.12g},{s.spectrum_error:.12g},{s.nilpotency_error:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    up = Context(prec=3, rounding=ROUND_CEILING).create_decimal_from_float
+    rows = [f"{s.t:.6f},{s.tr_m:.12g},{up(s.spectrum_error):g},{up(s.nilpotency_error):g}"
+            for s in states]
+    return "\n".join(["t,trM,spectrumError,nilpotencyError"] + rows) + "\n"

@@ -11,7 +11,9 @@ of the induced maps certifies it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,11 +37,7 @@ def _neighbor_degree_profile(g: SimpleGraph) -> dict[int, tuple]:
 def is_automorphism(g: SimpleGraph, t: GraphMap) -> bool:
     if set(t) != set(g.vertices) or set(t.values()) != set(g.vertices):
         return False
-    return all(g.has_edge(t[u], t[v]) for u, v in g.edges) and all(
-        g.has_edge(u, v) == g.has_edge(t[u], t[v])
-        for i, u in enumerate(g.vertices)
-        for v in g.vertices[i + 1 :]
-    )
+    return all(g.has_edge(u, v) == g.has_edge(t[u], t[v]) for u, v in combinations(g.vertices, 2))
 
 
 def automorphisms(g: SimpleGraph) -> list[GraphMap]:
@@ -88,28 +86,10 @@ def compose(t: GraphMap, s: GraphMap) -> GraphMap:
 
 
 def map_simplex(t: GraphMap, x: Simplex, position: dict[int, int]) -> tuple[Simplex, int]:
-    """Image simplex in canonical order together with the orientation sign."""
-    image = [t[v] for v in x]
-    order = sorted(range(len(image)), key=lambda i: position[image[i]])
-    sign = _permutation_sign(order)
-    return tuple(image[i] for i in order), sign
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Image simplex in canonical order, and the sign of the sorting permutation."""
+    keys = [position[t[v]] for v in x]
+    inversions = sum(a > b for a, b in combinations(keys, 2))
+    return tuple(sorted((t[v] for v in x), key=position.__getitem__)), (-1) ** inversions
 
 
 def pullback_matrix(ops: Operators, t: GraphMap, k: int) -> np.ndarray:
@@ -148,30 +128,35 @@ class LefschetzReport:
     fixed_simplices: tuple[tuple[Simplex, int], ...]
 
 
-def _fixed_simplices(c: CliqueComplex, t: GraphMap) -> tuple[tuple[Simplex, int], ...]:
-    """Simplices that T maps onto themselves, each with its index.
-
-    The index of a fixed simplex x is (-1)^dim(x) times the sign of the
-    permutation T induces on its vertices.
-    """
+def _cycles(c: CliqueComplex, t: GraphMap) -> list[tuple[Simplex, int, int]]:
+    """The cycles of T on the simplices as (first simplex, length l, sign of T^l on it)."""
     pos = c.host.position
-    fixed = []
+    seen: set[Simplex] = set()
+    cycles = []
     for x in c.simplices:
-        image, sign = map_simplex(t, x, pos)
-        if image == x:
-            fixed.append((x, (-1) ** (len(x) - 1) * sign))
-    return tuple(fixed)
+        if x in seen:
+            continue
+        y, length, sign = x, 0, 1
+        while y not in seen:  # T permutes the simplices, so this stops back at x
+            seen.add(y)
+            y, s = map_simplex(t, y, pos)
+            length, sign = length + 1, sign * s
+        cycles.append((x, length, sign))
+    return cycles
 
 
 def lefschetz(ops: Operators, t: GraphMap, tol: float = KERNEL_TOL) -> LefschetzReport:
     """Lefschetz number as the exact sum of fixed-simplex indices.
 
-    The alternating sum of the traces of T* on harmonic forms certifies it:
-    a gap above 1/2 contradicts the Lefschetz fixed point theorem and
-    raises ConsistencyError.
+    The fixed simplices are the cycles of length 1; the index of one is
+    (-1)^dim(x) times the sign of T on its vertices.  The alternating sum of
+    the traces of T* on harmonic forms certifies the number: a gap above 1/2
+    contradicts the Lefschetz fixed point theorem and raises
+    ConsistencyError.
     """
     c = ops.complex
-    fixed = _fixed_simplices(c, t)
+    fixed = tuple((x, (-1) ** (len(x) - 1) * sign)
+                  for x, length, sign in _cycles(c, t) if length == 1)
     number = sum(i for _, i in fixed)
     traces = tuple(
         float(np.trace(induced_cohomology_map(ops, t, k, tol))) for k in range(len(c.strata))
@@ -184,24 +169,25 @@ def lefschetz(ops: Operators, t: GraphMap, tol: float = KERNEL_TOL) -> Lefschetz
     return LefschetzReport(traces=traces, lefschetz=number, fixed_simplices=fixed)
 
 
-def lefschetz_zeta(ops: Operators, t: GraphMap, z: complex, order: int = 40) -> complex:
-    """Truncated zeta function exp(sum_{n<=order} L(T^n) z^n / n).
+def lefschetz_zeta(ops: Operators, t: GraphMap, z: complex) -> complex:
+    """Lefschetz zeta function exp(sum_n L(T^n) z^n / n), for |z| < 1.
 
-    L(T^n) is periodic in n with the period of T, so only the powers in one
-    period (at most ``order`` of them) are summed over their fixed simplices.
+    A cycle of length l through k-simplices, on which T^l has sign e, adds
+    l (-1)^k e^(n/l) to L(T^n) for each n divisible by l: the factor
+    (1 - e z^l)^((-1)^(k+1)).  As 1 + z^l = (1 - z^2l)/(1 - z^l), all factors
+    are powers of the independent 1 - z^m, whose exponents are summed first,
+    so a zeta function that is identically 1 evaluates to exactly 1.
     """
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
     if abs(z) >= 1:
         raise ValueError("the series requires |z| < 1")
-    c = ops.complex
-    identity = dict(zip(c.host.vertices, c.host.vertices))
-    period = []
-    power = identity
-    while len(period) < order:
-        power = compose(t, power)
-        period.append(sum(i for _, i in _fixed_simplices(c, power)))
-        if power == identity:
-            break
-    total = sum((period[(n - 1) % len(period)] * z ** n / n for n in range(1, order + 1)), 0j)
-    return complex(np.exp(total))
+    exponents: Counter[int] = Counter()
+    for x, length, sign in _cycles(ops.complex, t):
+        e = (-1) ** len(x)
+        if sign < 0:
+            exponents[2 * length] += e
+            e = -e
+        exponents[length] += e
+    value = 1 + 0j
+    for m, e in sorted(exponents.items()):
+        value *= (1 - z ** m) ** e
+    return value

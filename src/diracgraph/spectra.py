@@ -11,14 +11,14 @@ even ones are real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
 from math import exp, fsum, isinf, log
 from numbers import Integral
 
 import numpy as np
 
 from .complexes import CliqueComplex, SimpleGraph, build_complex, simplex_graph
-from .errors import CapacityError, ComputationError, GraphMismatchError
+from .errors import ComputationError, GraphMismatchError
 from .hodge import KERNEL_TOL, kernel_cut
 from .operators import Operators, build_operators
 
@@ -70,15 +70,16 @@ def dirac_charpoly(ops: Operators) -> list[int]:
 def pseudo_det(m: np.ndarray, tol: float = KERNEL_TOL) -> float:
     """Product of the nonzero eigenvalues of a symmetric matrix (empty = 1, overflow = inf)."""
     m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 1.0
     if not np.allclose(m, m.T):
         raise ValueError("pseudo_det expects a symmetric matrix")
-    eigs = np.linalg.eigvalsh(m)
+    return nonzero_product(np.linalg.eigvalsh(m), tol)
+
+
+def nonzero_product(eigs: np.ndarray, tol: float = KERNEL_TOL) -> float:
+    """Product of the eigenvalues above the kernel cut (none = 1, overflow = inf)."""
     cut = kernel_cut(eigs, tol)
-    nonzero = eigs[np.abs(eigs) > cut]
     with np.errstate(over="ignore"):  # a product beyond double range is inf
-        return float(np.prod(nonzero)) if nonzero.size else 1.0
+        return float(np.prod(eigs[np.abs(eigs) > cut]))
 
 
 # two primes below 2**31: every product of two residues fits in int64
@@ -215,11 +216,11 @@ def dirac_zeta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> ZetaEvalu
     return ZetaEvaluation(s=s, value=_zeta(ops.dirac_eigensystem[0], s, tol))
 
 
-def zeta_derivative_at_zero(ops: Operators, h: float = 1e-5, tol: float = KERNEL_TOL) -> complex:
-    """Central finite difference of the Dirac zeta function at s = 0."""
-    plus = dirac_zeta(ops, h, tol).value
-    minus = dirac_zeta(ops, -h, tol).value
-    return (plus - minus) / (2 * h)
+def zeta_derivative_at_zero(ops: Operators, tol: float = KERNEL_TOL) -> complex:
+    """zeta'(0) = -sum log|lambda| - i pi #{lambda < 0}, over the nonzero Dirac eigenvalues."""
+    eigs = ops.dirac_eigensystem[0]
+    nonzero = eigs[np.abs(eigs) > kernel_cut(eigs, tol)]
+    return complex(-fsum(np.log(np.abs(nonzero))), -np.pi * int(np.sum(nonzero < 0)))
 
 
 def eta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> complex:
@@ -251,8 +252,23 @@ def analytic_torsion(ops: Operators, tol: float = KERNEL_TOL) -> float:
 
 @dataclass(frozen=True)
 class SpectralDistanceReport:
-    distance: float
-    bound: float
+    """sum |alpha_i - beta_i| over the sorted spectra (gap) and sum |A - B| (entries).
+
+    distance and bound are their means over size indices.  Zero rows and
+    columns added to both matrices change neither sum, only size.
+    """
+
+    gap: float
+    entries: float
+    size: int
+
+    @property
+    def distance(self) -> float:
+        return float(Fraction(self.gap) / self.size)
+
+    @property
+    def bound(self) -> float:
+        return float(Fraction(self.entries) / self.size)
 
 
 def spectral_distance(a: np.ndarray, b: np.ndarray) -> SpectralDistanceReport:
@@ -261,31 +277,26 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> SpectralDistanceReport:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need symmetric matrices of one size, got {a.shape} and {b.shape}")
-    n = a.shape[0]
-    alpha = np.sort(np.linalg.eigvalsh(a))
-    beta = np.sort(np.linalg.eigvalsh(b))
-    distance = float(np.sum(np.abs(alpha - beta)) / n)
-    bound = float(np.sum(np.abs(a - b)) / n)
-    return SpectralDistanceReport(distance=distance, bound=bound)
+    gap = np.sum(np.abs(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(b)))  # both ascending
+    return SpectralDistanceReport(float(gap), float(np.sum(np.abs(a - b))), a.shape[0])
 
 
 def aligned_dirac_pair(g: SimpleGraph, h: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Dirac matrices of two graphs embedded in the complete graph's indexing.
+    """Dirac matrices of two graphs embedded in the union of their complexes.
 
-    Both graphs must share one vertex list.  Absent simplices become zero
-    rows and columns, so the matrices are directly comparable and the
-    Lidskii inequality applies.
+    Both graphs must share one vertex list.  A simplex that only one graph
+    has is a zero row and column of the other's matrix, so the two are
+    directly comparable and the Lidskii inequality applies.
     """
     if g.vertices != h.vertices:
         raise GraphMismatchError("aligned comparison requires a shared vertex list")
-    if g.n > 12:
-        raise CapacityError("complete-complex alignment is capped at 12 vertices")
-    full = build_complex(SimpleGraph(g.vertices, combinations(g.vertices, 2)))
+    pair = [build_operators(build_complex(graph)) for graph in (g, h)]
+    union = {s: i for i, s in enumerate(dict.fromkeys(pair[0].complex.simplices
+                                                      + pair[1].complex.simplices))}
     out = []
-    for graph in (g, h):
-        ops = build_operators(build_complex(graph))
-        big = np.zeros((full.v, full.v), dtype=np.int64)
-        idx = [full.index[s] for s in ops.complex.simplices]
+    for ops in pair:
+        big = np.zeros((len(union), len(union)), dtype=np.int64)
+        idx = [union[s] for s in ops.complex.simplices]
         big[np.ix_(idx, idx)] = ops.dirac
         out.append(big)
     return out[0], out[1]

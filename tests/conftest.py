@@ -295,6 +295,23 @@ def simplex_graph_trees_exact(g: SimpleGraph) -> int:
     return int(det)
 
 
+def complete_dirac_pair(g: SimpleGraph, h: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The Dirac matrices of g and h embedded in the complete complex on their vertices.
+
+    The 2^n - 1 rows and columns make spectral_distance of the pair the
+    Lidskii comparison over every simplex of the complete graph.
+    """
+    full = build_complex(SimpleGraph(g.vertices, combinations(g.vertices, 2)))
+    out = []
+    for graph in (g, h):
+        ops = operators_for(graph)
+        big = np.zeros((full.v, full.v), dtype=np.int64)
+        idx = [full.index[s] for s in ops.complex.simplices]
+        big[np.ix_(idx, idx)] = ops.dirac
+        out.append(big)
+    return out[0], out[1]
+
+
 def trace_lefschetz(traces) -> int:
     """The Lefschetz number as the rounded alternating sum of cohomology traces."""
     return round(sum((-1) ** k * tr for k, tr in enumerate(traces)))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import diracgraph as dg
-from diracgraph import ConsistencyError, cli
+from diracgraph import ConsistencyError, SimpleGraph, cli
 from diracgraph.cli import main
-from diracgraph.jsonutil import canonical_json
+from diracgraph.jsonutil import canonical_json, fraction_str
 from conftest import GOLDEN_CHARPOLY, erdos_renyi
 
 EXAMPLE_EDGES = "1 2\n2 3\n1 3\n3 4\n2 4\n3 5\n5 6\n4 6\n4 7\n"
@@ -144,7 +144,47 @@ def test_distance_command(tmp_path, c4_file, capsys):
     report = json.loads(out)
     # chord edge + two triangles differ out of 15 simplices of K4
     assert report["simplexDistance"] == "1/5"
+    # their 2 + 3 + 3 incidences, in D and in D^T
+    assert report["lidskiiBound"] == pytest.approx(16 / 15, rel=1e-11)
     assert report["spectralDistance"] <= report["lidskiiBound"]
+
+
+def _edge_file(path, g):
+    path.write_text("".join(f"{v}\n" for v in g.vertices) + "".join(f"{u} {v}\n" for u, v in g.edges))
+    return str(path)
+
+
+def test_distance_has_no_vertex_cap(tmp_path, capsys):
+    # 2^40 - 1 simplices in the complete complex, which is never built
+    rng = random.Random(40)
+    g, h = erdos_renyi(40, 0.2, rng), erdos_renyi(40, 0.2, rng)
+    code, out, _ = run(capsys, "distance", _edge_file(tmp_path / "g.edges", g),
+                       _edge_file(tmp_path / "h.edges", h), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    # each graph's own spectrum, padded with zeros to the union of the two complexes
+    sg, sh = set(dg.build_complex(g).simplices), set(dg.build_complex(h).simplices)
+    spectra = [np.linalg.eigvalsh(dg.operators_for(x).dirac.astype(float)) for x in (g, h)]
+    alpha, beta = (np.sort(np.concatenate([e, np.zeros(len(sg | sh) - len(e))])) for e in spectra)
+    total = 2 ** 40 - 1
+    assert report["spectralDistance"] == pytest.approx(np.sum(np.abs(alpha - beta)) / total, rel=1e-11)
+    # a simplex in one complex only carries its |y| incidences twice, in D and in D^T
+    incidences = 2 * sum(len(y) for y in sg ^ sh if len(y) > 1)
+    assert report["lidskiiBound"] == pytest.approx(incidences / total, rel=1e-11)
+    assert report["simplexDistance"] == fraction_str(dg.simplex_distance(g, h))
+    assert report["spectralDistance"] <= report["lidskiiBound"]
+
+
+def test_distance_beyond_float_range(tmp_path, capsys):
+    # 2^1030 - 1 exceeds the largest double: the means are exact quotients
+    g = SimpleGraph(range(1030), [(0, 1), (1, 2), (0, 2), (2, 3)])
+    h = SimpleGraph(range(1030), [(0, 1), (1, 2), (3, 4)])
+    code, out, err = run(capsys, "distance", _edge_file(tmp_path / "g.edges", g),
+                         _edge_file(tmp_path / "h.edges", h), "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["simplexDistance"] == f"4/{2 ** 1030 - 1}"
+    assert 0 < report["spectralDistance"] <= report["lidskiiBound"]
 
 
 def test_trees_and_magnitude(c4_file, capsys):
@@ -258,17 +298,18 @@ def test_exit_code_computation_error(tmp_path, capsys):
     assert err.startswith("computation error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["trees", "analyze"])
-def test_float_overflow_at_scale_exits_computation(tmp_path, capsys, monkeypatch, command):
-    # ER(100, .1) has 806 simplices: pseudo_det(L) and Det(D)^2 overflow a double
+@pytest.mark.parametrize("command, quantity", [("trees", "spanning-tree count"),
+                                               ("analyze", "Det(D)^2")], ids=["trees", "analyze"])
+def test_float_overflow_at_scale_exits_computation(tmp_path, capsys, command, quantity):
+    # ER(100, .1) has 806 simplices: pseudo_det(L) and Det(D)^2 overflow a double,
+    # and analyze says so before its exact charpoly, which takes about 90 s here
     g = erdos_renyi(100, 0.1, random.Random(1))
     path = tmp_path / "er100.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
-    # the exact charpoly takes about 90 s at this size and does not overflow
-    monkeypatch.setattr(cli, "dirac_charpoly", lambda ops: [1])
     code, out, err = run(capsys, command, str(path), "--format", "json")
     assert (code, out) == (2, "")
     assert err.startswith("computation error: OverflowError:") and err.count("\n") == 1
+    assert quantity in err
 
 
 def test_exit_code_capacity_error(tmp_path, capsys):
@@ -298,8 +339,6 @@ def test_exit_code_internal_error(example_file, capsys, monkeypatch):
     ["zeta", "--s", "inf", "--format", "json"],
     ["zeta", "--s", "1+nanj"],
     ["lefschetz", "--z", "nan", "--format", "json"],
-    ["lefschetz", "--order", "-3"],
-    ["lefschetz", "--order", "0", "--z", "0.3"],
 ])
 def test_non_finite_or_negative_options_exit_usage(tmp_path, capsys, options):
     triangle = tmp_path / "triangle.edges"
@@ -316,6 +355,7 @@ def test_non_finite_or_negative_options_exit_usage(tmp_path, capsys, options):
     ["distance", "--seed", "3"],
     ["morse", "--f", "1,2,3", "--tol", "1e-6"],
     ["analyze", "--seed", "3"],
+    ["lefschetz", "--order", "40"],
 ])
 def test_options_a_command_does_not_read_are_rejected(example_file, capsys, options):
     inputs = [example_file] * (2 if options[0] == "distance" else 1)

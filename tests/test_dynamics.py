@@ -337,3 +337,13 @@ def test_trajectory_csv(example_ops):
     assert lines[0] == "t,trM,spectrumError,nilpotencyError"
     assert len(lines) == 7
     assert lines[1].startswith("0.000000,48")
+
+
+def test_trajectory_csv_rounds_the_bounds_up(example_ops):
+    states = lax_deform(example_ops, 1.0, 0.05, variant="complexified")
+    rows = [line.split(",") for line in trajectory_csv(states).strip().split("\n")[1:]]
+    assert len(rows) == len(states)
+    for row, s in zip(rows, states):
+        for text, value in ((row[2], s.spectrum_error), (row[3], s.nilpotency_error)):
+            assert float(text) >= value
+            assert len(text.split("e")[0].replace(".", "").lstrip("0")) <= 3

@@ -1,5 +1,6 @@
-"""Property tests on random graphs with at most six or seven vertices, against oracles."""
+"""Property tests on random graphs with at most six to nine vertices, against oracles."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from diracgraph import (
     ComputationError,
     SimpleGraph,
+    aligned_dirac_pair,
     automorphisms,
     build_complex,
     charpoly_int,
@@ -23,14 +25,17 @@ from diracgraph import (
     is_geometric,
     lax_deform,
     lefschetz_zeta,
+    max_simplex_degree,
     operators_for,
     path_count,
     poincare_hopf,
     simplex_graph_trees,
+    spectral_distance,
 )
 from conftest import (
     betti_exact,
     brute_chi,
+    complete_dirac_pair,
     index_expectation_brute,
     lefschetz_zeta_power_loop,
     octahedron,
@@ -138,14 +143,38 @@ def test_star_sums_match_the_unit_sphere_complexes(g):
         assert is_geometric(g, k) == sphere_is_geometric(g, k)
 
 
+@st.composite
+def graph_pairs(draw, max_n=9):
+    """Two graphs on one vertex list: g, and g with a random set of pairs toggled."""
+    g = draw(small_graphs(max_n))
+    pairs = list(combinations(g.vertices, 2))
+    toggle = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return g, SimpleGraph(g.vertices, [e for e, f in zip(pairs, toggle) if g.has_edge(*e) != f])
+
+
+@PROPERTY_SETTINGS
+@given(graph_pairs())
+@example((SimpleGraph.complete(9), SimpleGraph.cycle(9)))
+def test_union_alignment_matches_the_complete_complex(pair):
+    g, h = pair
+    union = aligned_dirac_pair(g, h)
+    full = complete_dirac_pair(g, h)
+    rep = replace(spectral_distance(*union), size=2 ** g.n - 1)
+    expected = spectral_distance(*full)
+    assert rep.bound == expected.bound
+    assert abs(rep.distance - expected.distance) <= 1e-12
+    assert max_simplex_degree(*union) == max_simplex_degree(*full)
+
+
 @PROPERTY_SETTINGS
 @given(small_graphs(), st.data())
 def test_lefschetz_zeta_matches_every_power_loop(g, data):
     ops = operators_for(g)
     t = data.draw(st.sampled_from(automorphisms(g)))
     z = data.draw(st.sampled_from([0.3, -0.5, 0.2 + 0.4j]))
-    order = data.draw(st.sampled_from([1, 3, 40]))
-    assert lefschetz_zeta(ops, t, z, order) == lefschetz_zeta_power_loop(ops, t, z, order)
+    # at order 60 the series' tail is below 1e-14 of its value
+    assert lefschetz_zeta(ops, t, z) == pytest.approx(lefschetz_zeta_power_loop(ops, t, z, 60),
+                                                     rel=1e-12)
 
 
 @PROPERTY_SETTINGS
