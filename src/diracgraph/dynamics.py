@@ -28,10 +28,13 @@ interval, not a step size.  One SVD per block is taken per run, and every
 state of the run shares those factors.  The same factors give the
 eigenvectors of D(t) in closed form: on each triple D(t) acts on span(u, w)
 as [[beta, a], [conj a, -beta]], with eigenvalues +-s, and the complement
-of all u and w is the kernel.  So a state's spectrum_error is a certified
-Weyl upper bound on max |eig D(t) - eig D| from the residual of D(t) in
-that eigenframe, not the drift of a dense eigendecomposition per sample
-(see _Eigenframe).
+of all u and w is the kernel.  So every diagnostic of a state (tr_m and
+the certified upper bounds spectrum_error, nilpotency_error and
+laplacian_error on the residuals of the matrices it rebuilds) is a few
+small constants, taken once per run from the factors, scaled by the
+sample's a(t) and beta(t): a sample costs O(sum r_k^2) and forms no
+stratum-sized matrix (see _Eigenframe).  The dense d(t), b(t) and D(t) are
+built only when a state's d, b or dirac is read.
 """
 
 from __future__ import annotations
@@ -177,88 +180,113 @@ class LaxFactors:
 
 @dataclass(frozen=True)
 class _Eigenframe:
-    """The closed-form eigenvectors of D(t), and the constants of their Weyl bound.
+    """The constants that certify the diagnostics of every sample of a run.
 
     frames[k] = [u | w | kernel] is square in stratum k: the u columns of
     the triples of d_{k-1}, the w columns of those of d_k, then an
-    orthonormal basis of their complement, which lies in ker D(t) at every
-    t.  Together the frames make a v x v matrix Z0, block diagonal up to the
-    order of its columns.  On each triple D(t) acts on span(u, w) as
-    M = [[beta, a], [conj a, -beta]], whose eigenvalues are +-s' with
-    s' = hypot(beta, |a|) (= s up to rounding).  With tan 2 theta = |a| / beta
-    (= sech 2st / tanh 2st) and the phase p = a / |a|, its eigenvectors are
+    orthonormal basis of their complement (one complete QR per run).
+    Together the frames make a v x v matrix Z0, block diagonal up to the
+    order of its columns, with E = Z0^T Z0 - I and
+    delta = ||E|| = max_k ||frames[k]^T frames[k] - I||.  On each triple D(t)
+    acts on span(u, w) as M = [[beta, a], [conj a, -beta]], and with M(t)
+    block diagonal over the triples and zero on the kernel columns
 
-        z+ = u cos theta + conj(p) w sin theta   (eigenvalue s'),
-        z- = -u sin theta + conj(p) w cos theta  (eigenvalue -s'),
+        D(t) = Z0 M(t) Z0^T
 
-    so Z(t) = Z0 G(t), G(t) unitary, is an eigenframe of the closed form
-    with Lam = (s', -s', 0, ...), and the residual
+    holds exactly for the blocks that the factors define.  M^2 = s'^2 on each
+    triple, s' = hypot(beta, |a|) (= s up to rounding).  The blocks that
+    LaxFactors._assemble builds differ from these by the rounding Delta D.
+    Higham's gamma = n u / (1 - n u), n = max r_k + 2, bounds each entry of
+    it by gamma times the same sums taken in absolute values, so with
+    |Re a| + |Im a| <= sqrt 2 |a| and ||u||^2, ||w||^2 <= 1 + delta
 
-        R = D(t) Z(t) - Z(t) Lam = (D(t) Z0 - Z0 M(t)) G(t)
+        ||Delta d_k||_F <= e_k = sqrt 2 gamma (1 + delta) sum |a_k|,
+        ||Delta D||_F <= sqrt 2 sum_k e_k + 2 gamma (1 + delta) sum |beta|.
 
-    has ||R||_F = ||D(t) Z0 - Z0 M(t)||_F.  spectrum_bound takes that norm
-    from the blocks of D(t) in the fixed frame, stratum by stratum, so
-    neither G(t) nor the dense D(t) is formed.
+    Every diagnostic of a sample is then a few of these constants scaled by
+    its a(t) and beta(t), in O(sum r_k^2) and without a v_k x v_k product:
 
-    The certificate.  Let E = Z*Z - I, whose 2-norm
-    delta = ||Z0* Z0 - I|| = max_k ||frames[k]* frames[k] - I|| does not
-    depend on t, and let Z = Q P be the polar decomposition, Q unitary,
-    P = (Z*Z)^(1/2).  Then Q* D(t) Q = P Lam P^-1 + Q* R P^-1 = Lam + F
-    with the Hermitian
+    tr_m = 2 sum_k ||d_k(t)||_F^2 = 2 sum_k a^H H_k a, H_k = (U_k^T U_k) o (W_k^T W_k).
 
-        F = [P - I, Lam] P^-1 + Q* R P^-1.
+    Spectrum.  M has unitary eigenvectors G(t), 2 x 2 per triple, so
+    Z = Z0 G is an eigenframe of the closed form with Lam = (s', -s', 0, ...)
+    and the residual R = D(t) Z - Z Lam = Z0 M E G.  The two rows of a
+    triple have disjoint stratum supports, so
+    ||M E||_F^2 = sum s'^2 (rho_u^2 + rho_w^2) exactly, where rho are the row
+    norms of E at the triple's columns, and ||R||_F <= (1 + delta)^(1/2) ||M E||_F.
+    With the polar decomposition Z = Q P, Q* D(t) Q = Lam + F with the
+    Hermitian F = [P - I, Lam] P^-1 + Q* R P^-1.  The eigenvalues of P are
+    sqrt(1 + e), |e| <= delta, so ||P - I|| <= delta and
+    ||P^-1|| <= (1 - delta)^(-1/2) <= 1 + delta for delta <= 1/2.  Weyl's
+    inequality on Lam + F and on Delta D gives
 
-    The eigenvalues of P are sqrt(1 + e), |e| <= delta, so ||P - I|| <= delta
-    and ||P^-1|| <= (1 - delta)^(-1/2) <= 1 + delta for delta <= 1/2, and
-    ||[X, Lam]|| <= 2 max s' ||X||.  Weyl's inequality on Lam + F gives
+        |eig_i D~(t) - sort(Lam)_i| <= (1 + delta)^(3/2) ||M E||_F
+                                       + 2 (1 + delta) delta max s' + ||Delta D||_F
 
-        |eig_i D(t) - sort(Lam)_i| <= ||F|| <= (1 + delta) ||R||_F + c max s delta
-
-    with c = 2 (1 + delta) <= 3.  Sorting is 1-Lipschitz in the max norm, so
+    for the rounded D~(t).  Sorting is 1-Lipschitz in the max norm, so
     max |sort(Lam) - eig D| <= off + max |s' - s| with
-    off = max |sort(s, -s, 0, ...) - eig D| taken once per run; the sum of
-    these terms bounds max_i |eig_i D(t) - eig_i D|.  It holds for the
-    rounded blocks of D(t) up to the rounding of the products that form R,
-    delta and off, O(v eps max s), the order of the error of a dense
-    symmetric eigensolver itself.  A frame with delta > 1/2 certifies
-    nothing, and its offset is inf.
+    off = max |sort(s, -s, 0, ...) - eig D| taken once per run; the sum
+    bounds max_i |eig_i D~(t) - eig_i D|.
+
+    Nilpotency.  d_{k+1}(t) d_k(t) = U_{k+1} diag(a_{k+1}) C_k diag(a_k) W_k^T
+    with C_k = W_{k+1}^T U_k, and ||U_k||, ||W_k|| <= (1 + delta)^(1/2), so
+    every entry of the product of the rounded blocks is at most
+
+        (1 + delta) ||diag(a_{k+1}) C_k diag(a_k)||_F + e_{k+1} n_k + n_{k+1} e_k + e_{k+1} e_k
+
+    with n_k = (1 + delta) max |a_k| >= ||d_k(t)||.  It is 0 unless two
+    consecutive blocks both have triples.
+
+    Laplacian.  D(t)^2 = Z0 M (I + E) M Z0^T
+    = sum s'^2 (u u^T + w w^T) + Z0 M E M Z0^T, and
+    Lam0 = max |sum s^2 (u u^T + w w^T) - L| is taken once per run.  With
+    ||D(t)|| <= (1 + delta) max s', every entry of D~(t)^2 - L is at most
+
+        Lam0 + (1 + delta) max |s'^2 - s^2| + (1 + delta) delta max s'^2
+             + 2 (1 + delta) max s' ||Delta D||_F + ||Delta D||_F^2.
+
+    The bounds hold up to the rounding of the once-per-run constants
+    (delta, rho, C_k, off, Lam0), O(v eps max s^2), the order of the error
+    of a dense symmetric eigensolver itself.  A frame with delta > 1/2
+    certifies nothing, and its offset is inf.
     """
 
-    frames: tuple[np.ndarray, ...]
-    triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    singular: np.ndarray  # s of every triple, block by block
+    rows: np.ndarray  # rho_u^2 + rho_w^2 of every triple
+    grams: tuple[np.ndarray, ...]  # H_k
+    couplings: tuple[np.ndarray, ...]  # C_k o C_k
     delta: float
-    offset: float  # off + c max s delta
+    offset: float  # off, or inf
+    defect: float  # Lam0
+    gamma: float
 
-    def spectrum_bound(self, coefficients, d: list[np.ndarray], b: list[np.ndarray]) -> float:
-        """The bound on max |eig D(t) - eig D| for the blocks d, b that
-        LaxFactors builds from coefficients."""
-        square = 0.0
-        drift = 0.0
-        lead = 0  # the u columns of d_{k-1} lead frames[k]
-        for k, q in enumerate(self.frames):
-            # column block k of D(t) Z0 - Z0 M(t), in the rows of strata k-1, k, k+1
-            mid = b[k] @ q
-            rows = [mid]
-            if k:  # the u columns of d_{k-1}: D u = beta u + conj(a) w
-                u, _, w = self.triples[k - 1]
-                a, beta = coefficients[k - 1]
-                below = d[k - 1].conj().T @ q
-                below[:, :lead] -= w * a.conj()
-                mid[:, :lead] -= u * beta
-                rows.append(below)
-            if k < len(d):  # the w columns of d_k: D w = a u - beta w
-                u, s, w = self.triples[k]
-                a, beta = coefficients[k]
-                cols = slice(lead, lead + s.size)
-                above = d[k] @ q
-                above[:, cols] -= u * a
-                mid[:, cols] += w * beta
-                rows.append(above)
-                s_rounded = np.hypot(beta, np.abs(a))  # the eigenvalues of M are +-s_rounded
-                drift = max(drift, float(np.max(np.abs(s_rounded - s), initial=0.0)))
-                lead = s.size
-            square += sum(float(np.vdot(x, x).real) for x in rows)
-        return self.offset + drift + (1.0 + self.delta) * square**0.5
+    def rounding(self, coefficients) -> tuple[list[float], float]:
+        """The bounds e_k on ||Delta d_k||_F and the bound on ||Delta D||_F."""
+        scale = self.gamma * (1.0 + self.delta)
+        e = [2**0.5 * scale * float(np.sum(np.abs(a))) for a, _ in coefficients]
+        beta = sum(float(np.sum(np.abs(b))) for _, b in coefficients)
+        return e, 2**0.5 * sum(e) + 2.0 * scale * beta
+
+    def diagnostics(self, coefficients) -> tuple[float, float, float, float]:
+        """tr_m and the bounds on the spectral drift, the nilpotency and the
+        Laplacian drift of the blocks that LaxFactors builds from coefficients."""
+        grow = 1.0 + self.delta
+        mags = [np.abs(a) for a, _ in coefficients]
+        s = np.concatenate([np.zeros(0)] + [np.hypot(b, m) for (_, b), m in zip(coefficients, mags)])
+        top = float(np.max(s, initial=0.0))
+        e, rounding = self.rounding(coefficients)
+        tr_m = 2.0 * sum(float(np.vdot(a, h @ a).real) for (a, _), h in zip(coefficients, self.grams))
+        spectrum = (self.offset + float(np.max(np.abs(s - self.singular), initial=0.0))
+                    + 2.0 * grow * self.delta * top + grow**1.5 * float(s * s @ self.rows) ** 0.5
+                    + rounding)
+        n = [grow * float(np.max(m, initial=0.0)) for m in mags]  # >= ||d_k(t)||
+        nilpotency = 0.0
+        for k, c in enumerate(self.couplings):
+            exact = grow * float(mags[k + 1] ** 2 @ c @ mags[k] ** 2) ** 0.5
+            nilpotency = max(nilpotency, exact + e[k + 1] * n[k] + n[k + 1] * e[k] + e[k + 1] * e[k])
+        laplacian = (self.defect + grow * float(np.max(np.abs(s * s - self.singular**2), initial=0.0))
+                     + grow * self.delta * top**2 + 2.0 * grow * top * rounding + rounding**2)
+        return tr_m, spectrum, nilpotency, laplacian
 
 
 @dataclass(frozen=True)
@@ -292,34 +320,6 @@ class DeformationState:
         return self.factors.dense(*self.factors.blocks(self.t), adjoint=True)
 
 
-def _max_abs(blocks) -> float:
-    return max((float(np.max(np.abs(x))) for x in blocks), default=0.0)
-
-
-def _sample(factors: LaxFactors, frame: _Eigenframe, ops: Operators, t: float) -> DeformationState:
-    """The state at t, with the residuals of the matrices rebuilt at t."""
-    coefficients = factors.coefficients(t)
-    d, b = factors._assemble(coefficients)
-    spec_err = frame.spectrum_bound(coefficients, d, b)
-    # D(t)^2 - L is Hermitian; below its diagonal it has the (k+1, k)
-    # blocks d_k b_k + b_{k+1} d_k and the (k+2, k) blocks d_{k+1} d_k
-    nil = [d[k + 1] @ d[k] for k in range(len(d) - 1)]
-    lower = [dk @ b[k] + b[k + 1] @ dk for k, dk in enumerate(d)]
-    diag = [bk @ bk - lk for bk, lk in zip(b, ops.lap_blocks)]
-    for k, dk in enumerate(d):
-        diag[k] = diag[k] + dk.conj().T @ dk
-        diag[k + 1] = diag[k + 1] + dk @ dk.conj().T
-    nil_err = _max_abs(nil)
-    return DeformationState(
-        t=t,
-        factors=factors,
-        tr_m=2.0 * sum(float(np.vdot(dk, dk).real) for dk in d),
-        spectrum_error=spec_err,
-        nilpotency_error=nil_err,
-        laplacian_error=max(nil_err, _max_abs(lower), _max_abs(diag)),
-    )
-
-
 def lax_deform(
     ops: Operators,
     t_final: float,
@@ -331,12 +331,13 @@ def lax_deform(
     """The isospectral deformation from d(0) = d, b(0) = 0, sampled at t = i h.
 
     The flow is evaluated in closed form (see the module docstring) at
-    every t = i h up to round(t_final / h) h.  Each state records
-    diagnostics of the matrices rebuilt at its t: spectrum_error, a
-    certified Weyl upper bound on the spectral drift max |eig D(t) - eig D|
-    from the residual of D(t) in its closed-form eigenframe (see
-    _Eigenframe; no eigendecomposition per sample), the nilpotency
-    max |d(t)^2| and the entrywise drift max |D(t)^2 - L|.  The closed form
+    every t = i h up to round(t_final / h) h.  Each state records tr_m and
+    three certified upper bounds on the residuals of the matrices that the
+    state rebuilds at its t: spectrum_error on the spectral drift
+    max |eig D(t) - eig D|, nilpotency_error on max |d(t)^2| and
+    laplacian_error on max |D(t)^2 - L|.  They come from constants taken
+    once per run, scaled by the sample's coefficients (see _Eigenframe), so
+    a sample forms no block and no eigendecomposition.  The closed form
     keeps them at rounding level, so nilpotency or spectral drift beyond
     its bound is a bug and raises ConsistencyError.
     """
@@ -348,7 +349,7 @@ def lax_deform(
     frame = _eigenframe(factors, ops)
     states = []
     for i in range(int(round(t_final / h)) + 1):
-        state = _sample(factors, frame, ops, i * h)
+        state = DeformationState(i * h, factors, *frame.diagnostics(factors.coefficients(i * h)))
         if state.nilpotency_error > nilpotency_bound or state.spectrum_error > spectrum_bound:
             raise ConsistencyError(
                 f"Lax state at t = {state.t:g} breaches its bounds: nilpotency"
@@ -369,32 +370,47 @@ def _lax_factors(ops: Operators, complexified: bool) -> LaxFactors:
 
 
 def _eigenframe(factors: LaxFactors, ops: Operators) -> _Eigenframe:
-    """The frames of _Eigenframe with their delta and offset, once per run."""
-    spans = [[np.zeros((hi - lo, 0))] for lo, hi in zip(factors.offsets, factors.offsets[1:])]
-    for k, (u, _, w) in enumerate(factors.triples):
-        spans[k + 1].append(u)
-        spans[k].append(w)
-    frames = []
-    for span in spans:
-        basis = np.hstack(span)
-        complement = np.linalg.qr(basis, mode="complete").Q[:, basis.shape[1] :]
-        frames.append(np.hstack([basis, complement]))
-    delta = max((float(np.linalg.norm(q.T @ q - np.eye(len(q)), 2)) for q in frames), default=0.0)
-    s = np.concatenate([np.zeros(0)] + [s for _, s, _ in factors.triples])
+    """The constants of _Eigenframe, once per run."""
+    triples = factors.triples
+    strata = zip(factors.offsets, factors.offsets[1:])
+    spans = [[(np.zeros((hi - lo, 0)), np.zeros(0))] for lo, hi in strata]
+    for k, (u, s, w) in enumerate(triples):
+        spans[k + 1].append((u, s))
+        spans[k].append((w, s))
+    rows, delta, defect = [], 0.0, 0.0
+    for span, lap in zip(spans, ops.lap_blocks):
+        basis = np.hstack([x for x, _ in span])
+        frame = np.hstack([basis, np.linalg.qr(basis, mode="complete").Q[:, basis.shape[1] :]])
+        gap = frame.T @ frame - np.eye(len(frame))
+        delta = max(delta, float(np.max(np.abs(np.linalg.eigvalsh(gap)))))  # gap is symmetric
+        rows.append(np.sum(gap[: basis.shape[1]] ** 2, axis=1))  # rho^2 of the u, then the w columns
+        square = (basis * np.concatenate([s * s for _, s in span])) @ basis.T
+        defect = max(defect, float(np.max(np.abs(square - lap), initial=0.0)))
+    s = np.concatenate([np.zeros(0)] + [s for _, s, _ in triples])
     lam = np.sort(np.concatenate([s, -s, np.zeros(factors.offsets[-1] - 2 * s.size)]))
     off = float(np.max(np.abs(lam - ops.dirac_eigensystem[0]), initial=0.0))
-    c = 2.0 * (1.0 + delta)
-    offset = off + c * float(np.max(s, initial=0.0)) * delta if delta <= 0.5 else np.inf
-    return _Eigenframe(tuple(frames), factors.triples, delta, offset)
+    lead = [0] + [s.size for _, s, _ in triples]  # the u columns of d_{k-1} lead frames[k]
+    rho = [rows[k + 1][:r] + rows[k][lead[k] : lead[k] + r] for k, r in enumerate(lead[1:])]
+    unit = float(np.finfo(float).eps) / 2 * (max(lead) + 2)
+    return _Eigenframe(
+        singular=s,
+        rows=np.concatenate([np.zeros(0)] + rho),
+        grams=tuple((u.T @ u) * (w.T @ w) for u, _, w in triples),
+        couplings=tuple((w.T @ u) ** 2 for (u, _, _), (_, _, w) in zip(triples, triples[1:])),
+        delta=delta,
+        offset=off if delta <= 0.5 else np.inf,
+        defect=defect,
+        gamma=unit / (1.0 - unit),
+    )
 
 
 def trajectory_csv(states: list[DeformationState]) -> str:
     """CSV with one diagnostics row per sample.
 
-    spectrumError is the state's spectrum_error: a certified Weyl upper
-    bound on max |eig D(t) - eig D|, not the drift of an eigendecomposition.
-    It and nilpotencyError are rounded up to 3 significant digits: still
-    upper bounds, and free of the residuals' rounding noise.
+    spectrumError and nilpotencyError are the state's spectrum_error and
+    nilpotency_error: certified upper bounds on max |eig D(t) - eig D| and
+    max |d(t)^2|, not measured residuals.  Both are rounded up to 3
+    significant digits, so they stay upper bounds.
     """
     up = Context(prec=3, rounding=ROUND_CEILING).create_decimal_from_float
     rows = [f"{s.t:.6f},{s.tr_m:.12g},{up(s.spectrum_error):g},{up(s.nilpotency_error):g}"

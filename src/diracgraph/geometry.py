@@ -36,10 +36,14 @@ def _star_counts(g: SimpleGraph) -> dict[int, list[int]]:
 
 
 def curvature(g: SimpleGraph, x: int) -> Fraction:
-    """Exact rational curvature of a vertex."""
+    """Exact rational curvature of a vertex.
+
+    The simplices that contain x are those of the closed neighbourhood
+    {x} + N(x), so only its clique complex is built.
+    """
     if x not in g.position:
         raise ValueError(f"unknown vertex {x}")
-    return curvature_vector(g)[x]
+    return curvature_vector(g.induced(g.adjacency[x] | {x}))[x]
 
 
 def curvature_vector(g: SimpleGraph) -> dict[int, Fraction]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, fsum, isinf, log
+from math import exp, fsum, isinf, log, prod
 from numbers import Integral
 
 import numpy as np
@@ -107,12 +107,14 @@ def _det_mod(a: np.ndarray, p: int) -> int:
 def kirchhoff_trees(g: SimpleGraph) -> int:
     """Spanning trees of a connected graph via the scalar Laplacian.
 
-    The float estimate pseudo_det(L)/n picks the method.  Below 2**60 the
-    count is the determinant of the reduced Laplacian, exact: it is taken
-    modulo two primes near 2**31 and combined by the Chinese remainder
-    theorem, whose range 2**62 holds it.  Larger counts are the rounded
-    estimate, which is float-rounded beyond 2**53; an estimate that
-    overflows raises OverflowError.
+    The count is the determinant of the reduced Laplacian (the first vertex
+    deleted), which is positive semidefinite, so by Hadamard's inequality
+    the product of the other degrees bounds it.  When that product, or
+    else the float estimate pseudo_det(L)/n, is below 2**60, the count is
+    exact: it is taken modulo two primes near 2**31 and combined by the
+    Chinese remainder theorem, whose range 2**62 holds it.  Larger counts
+    are the rounded estimate, which is float-rounded beyond 2**53; an
+    estimate that overflows raises OverflowError.
     """
     if g.n == 0:
         raise ComputationError("spanning trees of the empty graph are undefined")
@@ -131,13 +133,14 @@ def kirchhoff_trees(g: SimpleGraph) -> int:
         l0[j, i] -= 1
         l0[i, i] += 1
         l0[j, j] += 1
-    estimate = pseudo_det(l0) / g.n
-    if isinf(estimate):
-        raise OverflowError(
-            f"the spanning-tree count of this {g.n}-vertex graph overflows the float range"
-        )
-    if estimate >= 2 ** 60:
-        return round(estimate)
+    if prod(l0.diagonal()[1:].tolist()) >= 2 ** 60:
+        estimate = pseudo_det(l0) / g.n
+        if isinf(estimate):
+            raise OverflowError(
+                f"the spanning-tree count of this {g.n}-vertex graph overflows the float range"
+            )
+        if estimate >= 2 ** 60:
+            return round(estimate)
     p, q = _TREE_PRIMES
     r, s = _det_mod(l0[1:, 1:], p), _det_mod(l0[1:, 1:], q)
     return r + p * ((s - r) * pow(p, -1, q) % q)

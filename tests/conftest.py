@@ -344,6 +344,33 @@ class DenseLaxState:
         return self.d + self.d.conj().T + self.b
 
 
+def _rational(x) -> np.ndarray:
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(x, dtype=float))
+
+
+def exact_lax_blocks(factors, coefficients):
+    """The blocks d_k(t) and b_k(t) over Q, from the same float factors and coefficients.
+
+    Every float is a rational, so these are the blocks that
+    LaxFactors._assemble forms, without its rounding.  Each d_k is a pair
+    (real part, imaginary part) of Fraction arrays.
+    """
+    b = [np.full((n, n), Fraction(0), dtype=object) for n in np.diff(factors.offsets)]
+    d = []
+    for k, ((u, _, w), (a, beta)) in enumerate(zip(factors.triples, coefficients)):
+        u, w, beta = _rational(u), _rational(w), _rational(beta)
+        d.append(tuple((u * _rational(part)) @ w.T for part in (np.real(a), np.imag(a))))
+        b[k + 1] = b[k + 1] + (u * beta) @ u.T
+        b[k] = b[k] - (w * beta) @ w.T
+    return d, b
+
+
+def exact_product(x, y):
+    """(real part, imaginary part) of x @ y over Q, for float or complex arrays."""
+    xr, xi, yr, yi = (_rational(part) for part in (np.real(x), np.imag(x), np.real(y), np.imag(y)))
+    return xr @ yr - xi @ yi, xr @ yi + xi @ yr
+
+
 def _dense_lax_rhs(d, b, variant):
     if variant == "real":
         return d @ b - b @ d, 2.0 * (d @ d.conj().T - d.conj().T @ d)

@@ -1,6 +1,7 @@
 """Heat, wave, Schroedinger flows and the Lax isospectral deformation."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from diracgraph import (
 )
 from diracgraph import dynamics
 
-from conftest import dense_lax_deform, octahedron
+from conftest import dense_lax_deform, exact_lax_blocks, exact_product, octahedron
 
 
 def _random_cochain(ops, k, seed=0, complex_valued=False):
@@ -249,19 +250,97 @@ def _dense_drift(ops, state):
 
 @pytest.mark.parametrize("variant", ["real", "complexified"])
 def test_spectrum_bound_covers_a_perturbed_b(example_ops, monkeypatch, variant):
-    # scale b(t) by 1 + 1e-6 in every assembly, so the states' own dirac
-    # carries the fault; the certified bound must still cover its drift
-    exact = dynamics.LaxFactors._assemble
+    # scale beta(t) by 1 + 1e-6 in every coefficient, so the states' own
+    # dirac and the certificate both carry the fault; the certified bound
+    # must still cover its drift
+    exact = dynamics.LaxFactors.coefficients
 
-    def perturbed(self, coefficients):
-        d, b = exact(self, coefficients)
-        return d, [(1.0 + 1e-6) * bk for bk in b]
+    def perturbed(self, t):
+        return [(a, (1.0 + 1e-6) * beta) for a, beta in exact(self, t)]
 
-    monkeypatch.setattr(dynamics.LaxFactors, "_assemble", perturbed)
+    monkeypatch.setattr(dynamics.LaxFactors, "coefficients", perturbed)
     states = lax_deform(example_ops, 2.0, 0.1, variant=variant, spectrum_bound=1.0)
     drifts = [_dense_drift(example_ops, s) for s in states]
     assert max(drifts) > 1e-7  # the fault is visible in the spectrum
     for s, drift in zip(states, drifts):
+        assert drift <= s.spectrum_error
+        dirac = s.dirac
+        assert np.max(np.abs(dirac @ dirac - example_ops.laplacian)) <= s.laplacian_error
+
+
+def _square_distance(got, want) -> Fraction:
+    """||got - want||_F^2, exactly, for a float array and a Fraction array."""
+    return sum(((Fraction(float(x)) - y) ** 2 for x, y in zip(got.ravel(), want.ravel())), Fraction(0))
+
+
+def _max_square(re, im) -> Fraction:
+    """max |z|^2 over the entries z = re + i im."""
+    return max((x * x + y * y for x, y in zip(re.ravel(), im.ravel())), default=Fraction(0))
+
+
+@pytest.mark.parametrize("graph, variant", [
+    ("example", "real"),
+    ("octahedron", "complexified"),
+])
+def test_bounds_against_exact_arithmetic(example, graph, variant):
+    # the a-priori bounds e_k >= ||Delta d_k||_F and ||Delta D||_F against
+    # the blocks that the same float factors define over Q, and the
+    # nilpotency and Laplacian bounds against the exact residuals of the
+    # rounded blocks, with no slack for a float product
+    ops = operators_for(example if graph == "example" else octahedron())
+    factors = dynamics._lax_factors(ops, variant == "complexified")
+    frame = dynamics._eigenframe(factors, ops)
+    for t in (0.0, 0.3, 2.0):
+        coefficients = factors.coefficients(t)
+        d, b = factors._assemble(coefficients)
+        exact_d, exact_b = exact_lax_blocks(factors, coefficients)
+        e, total = frame.rounding(coefficients)
+        square = sum((_square_distance(got, want) for got, want in zip(b, exact_b)), Fraction(0))
+        for got, (re, im), bound in zip(d, exact_d, e):
+            err = _square_distance(np.real(got), re) + _square_distance(np.imag(got), im)
+            assert err <= Fraction(bound) ** 2
+            square += 2 * err  # d_k and its adjoint
+        assert 0 < square <= Fraction(total) ** 2
+        _, _, nilpotency, laplacian = frame.diagnostics(coefficients)
+        for lower, upper in zip(d, d[1:]):
+            assert _max_square(*exact_product(upper, lower)) <= Fraction(nilpotency) ** 2
+        dirac = factors.dense(d, b, adjoint=True)
+        re, im = exact_product(dirac, dirac)
+        assert _max_square(re - ops.laplacian, im) <= Fraction(laplacian) ** 2
+
+
+@pytest.mark.parametrize("fault", ["singular vector", "singular value"])
+@pytest.mark.parametrize("variant", ["real", "complexified"])
+def test_bounds_cover_faulty_factors(example_ops, monkeypatch, fault, variant):
+    # a 1e-6 fault in the factors: a row of d_1 tilted towards the range of
+    # d_0 reaches d(t)^2, a moved singular value reaches D(t)^2 - L and the
+    # spectrum; each bound must cover what the rebuilt matrices show
+    exact = dynamics._lax_factors
+
+    def faulty(ops, complexified):
+        factors = exact(ops, complexified)
+        (u0, s0, w0), (u1, s1, w1) = factors.triples
+        if fault == "singular value":
+            s1 = s1 + 1e-6
+        else:
+            w1 = w1.copy()
+            w1[:, 0] = (w1[:, 0] + 1e-6 * u0[:, 0]) / np.hypot(1.0, 1e-6)
+        return replace(factors, triples=((u0, s0, w0), (u1, s1, w1)))
+
+    monkeypatch.setattr(dynamics, "_lax_factors", faulty)
+    states = lax_deform(example_ops, 1.0, 0.25, variant=variant,
+                        nilpotency_bound=1.0, spectrum_bound=1.0)
+    residuals = []
+    for s in states:
+        d, dirac = s.d, s.dirac
+        residuals.append((float(np.max(np.abs(d @ d))),
+                          float(np.max(np.abs(dirac @ dirac - example_ops.laplacian))),
+                          _dense_drift(example_ops, s)))
+    seen = np.max(residuals, axis=0)
+    assert seen[0 if fault == "singular vector" else 1] > 1e-7  # the fault is visible
+    for s, (nilpotency, laplacian, drift) in zip(states, residuals):
+        assert nilpotency <= s.nilpotency_error
+        assert laplacian <= s.laplacian_error
         assert drift <= s.spectrum_error
 
 

@@ -12,6 +12,7 @@ from diracgraph import (
     curvature,
     curvature_vector,
     dimension,
+    example_graph,
     graph_euler_characteristic,
     index_expectation,
     is_geometric,
@@ -19,11 +20,13 @@ from diracgraph import (
     poincare_hopf,
     unit_sphere,
 )
+from diracgraph import geometry
 from conftest import (
     erdos_renyi,
     icosahedron,
     index_expectation_brute,
     octahedron,
+    random_suite,
     truncated_cube,
 )
 
@@ -59,6 +62,20 @@ def test_curvature_icosahedron_vertex():
     g = icosahedron()
     for x in g.vertices:
         assert curvature(g, x) == Fraction(1, 6)  # 1 - 5/2 + 5/3
+
+
+def test_vertex_curvature_reads_the_closed_neighbourhood(monkeypatch):
+    graphs = [example_graph(), octahedron(), icosahedron(), truncated_cube()] + random_suite()
+    expected = [curvature_vector(g) for g in graphs]
+    built = []
+    exact = geometry.build_complex
+    monkeypatch.setattr(geometry, "build_complex", lambda g: built.append(g.n) or exact(g))
+    for g, ks in zip(graphs, expected):
+        for x in g.vertices:
+            built.clear()
+            assert curvature(g, x) == ks[x] == index_expectation(g, x)
+            # one complex per call, on {x} and its neighbours only
+            assert built == [1 + g.degree(x)] * 2
 
 
 def test_gauss_bonnet_random_suite():

@@ -204,3 +204,22 @@ def test_lax_spectrum_error_bounds_the_dense_drift(g, t_final, variant):
     for s in lax_deform(ops, t_final, t_final / 4, variant=variant):
         drift = float(np.max(np.abs(np.linalg.eigvalsh(s.dirac) - eigs)))
         assert s.spectrum_error >= drift - slack
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(), st.floats(0.01, 5.0), st.sampled_from(["real", "complexified"]))
+def test_lax_nilpotency_and_laplacian_errors_bound_the_dense_residuals(g, t_final, variant):
+    # both are certified bounds on the residuals of the rebuilt D(t); the
+    # dense products below round too, by at most 2 gamma_(v+2) |X| |Y|
+    # entrywise (Higham, Lemma 3.5, complex case), which is taken off
+    ops = operators_for(g)
+    unit = (ops.v + 2) * np.finfo(float).eps / 2
+    gamma = 2 * unit / (1 - unit)
+    stratum = np.repeat(np.arange(len(ops.offsets)), np.diff(ops.offsets + (ops.v,)))
+    below = stratum[:, None] == stratum[None, :] + 1  # the blocks d_k(t) of D(t)
+    for s in lax_deform(ops, t_final, t_final / 4, variant=variant):
+        dirac = s.dirac
+        d = np.where(below, dirac, 0)
+        for x, target, bound in ((d, 0, s.nilpotency_error), (dirac, ops.laplacian, s.laplacian_error)):
+            residual = np.abs(x @ x - target) - gamma * (np.abs(x) @ np.abs(x))
+            assert bound >= np.max(residual, initial=0.0)

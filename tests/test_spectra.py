@@ -18,6 +18,7 @@ from diracgraph import (
     dirac_charpoly,
     dirac_zeta,
     eta,
+    example_graph,
     kirchhoff_trees,
     magnitude,
     max_simplex_degree,
@@ -37,8 +38,10 @@ from conftest import (
     erdos_renyi,
     icosahedron,
     octahedron,
+    random_suite,
     simplex_graph_trees_exact,
     spanning_trees_brute,
+    truncated_cube,
 )
 
 
@@ -138,6 +141,32 @@ def test_kirchhoff_trees_exact_between_2_53_and_2_60():
     # estimate is off in its last three digits
     g = SimpleGraph(range(20), [(i, j) for i in range(9) for j in range(9, 20)])
     assert kirchhoff_trees(g) == 9 ** 10 * 11 ** 8
+
+
+def test_kirchhoff_trees_match_the_exact_reduced_determinant(monkeypatch):
+    def reduced_laplacian(g):
+        lap = [[0] * g.n for _ in g.vertices]
+        for u, v in g.edges:
+            i, j = g.position[u], g.position[v]
+            lap[i][j] -= 1
+            lap[j][i] -= 1
+            lap[i][i] += 1
+            lap[j][j] += 1
+        return [row[1:] for row in lap[1:]]
+
+    graphs = [example_graph(), octahedron(), icosahedron(), truncated_cube()]
+    graphs += [g for g in random_suite() if g.is_connected()]
+    expected = [det_fraction(reduced_laplacian(g)) for g in graphs]
+    # C_62 has 62 trees but a degree product of 2^61, so only there does
+    # the float estimate choose the exact path
+    cycle = SimpleGraph.cycle(62)
+    assert kirchhoff_trees(cycle) == 62 == det_fraction(reduced_laplacian(cycle))
+
+    def no_eigensolver(m, tol=None):
+        raise AssertionError("the degree product already bounds the count below 2^60")
+
+    monkeypatch.setattr(spectra, "pseudo_det", no_eigensolver)
+    assert [kirchhoff_trees(g) for g in graphs] == expected
 
 
 def test_det_mod_with_row_swaps():
