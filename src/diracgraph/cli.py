@@ -384,6 +384,9 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError:
+        print(f"capacity error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_CAPACITY
     except ComputationError as e:
         print(f"computation error: {e}", file=sys.stderr)
         return EXIT_COMPUTATION

@@ -92,13 +92,12 @@ class SimpleGraph:
 
     def induced(self, subset: Iterable[int]) -> "SimpleGraph":
         """Induced subgraph, preserving the host vertex order."""
-        keep = set(subset)
-        unknown = keep - set(self.vertices)
+        keep, pos = set(subset), self.position
+        unknown = [v for v in keep if v not in pos]
         if unknown:
             raise ValueError(f"unknown vertices {sorted(unknown)}")
-        verts = tuple(v for v in self.vertices if v in keep)
-        edges = tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
-        return SimpleGraph(verts, edges)
+        verts = sorted(keep, key=pos.__getitem__)
+        return SimpleGraph(verts, [(u, v) for u in verts for v in self.adjacency[u] & keep if pos[u] < pos[v]])
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -25,21 +25,20 @@ sqrt(d d*) - sqrt(d* d), block diagonal with b^2 = L.
 
 lax_deform evaluates this solution at t = i h, so h is a sampling
 interval, not a step size.  One SVD per block is taken per run, and every
-state of the run shares those factors.  The same factors give the
-eigenvectors of D(t) in closed form: on each triple D(t) acts on span(u, w)
-as [[beta, a], [conj a, -beta]], with eigenvalues +-s, and the complement
-of all u and w is the kernel.  So every diagnostic of a state (tr_m and
-the certified upper bounds spectrum_error, nilpotency_error and
-laplacian_error on the residuals of the matrices it rebuilds) is a few
-small constants, taken once per run from the factors, scaled by the
-sample's a(t) and beta(t): a sample costs O(sum r_k^2) and forms no
-stratum-sized matrix (see _Eigenframe).  The dense d(t), b(t) and D(t) are
-built only when a state's d, b or dirac is read.
+state of the run shares those factors.  On each triple D(t) acts on
+span(u, w) as [[beta, a], [conj a, -beta]], with eigenvalues +-s, so every
+diagnostic of a state (tr_m and the certified upper bounds spectrum_error,
+nilpotency_error and laplacian_error on the residuals of the matrices it
+rebuilds) is a few constants, read once per run from the factors and the
+blocks d_k, scaled by the sample's a(t) and beta(t).  A sample costs
+O(sum r_k^2), and a run factors nothing but the blocks (see _Eigenframe).
+The dense d(t), b(t) and D(t) are built only when a state's d, b or dirac
+is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, Context
 
 import numpy as np
@@ -182,82 +181,68 @@ class LaxFactors:
 class _Eigenframe:
     """The constants that certify the diagnostics of every sample of a run.
 
-    frames[k] = [u | w | kernel] is square in stratum k: the u columns of
-    the triples of d_{k-1}, the w columns of those of d_k, then an
-    orthonormal basis of their complement (one complete QR per run).
-    Together the frames make a v x v matrix Z0, block diagonal up to the
-    order of its columns, with E = Z0^T Z0 - I and
-    delta = ||E|| = max_k ||frames[k]^T frames[k] - I||.  On each triple D(t)
-    acts on span(u, w) as M = [[beta, a], [conj a, -beta]], and with M(t)
-    block diagonal over the triples and zero on the kernel columns
-
-        D(t) = Z0 M(t) Z0^T
-
-    holds exactly for the blocks that the factors define.  M^2 = s'^2 on each
-    triple, s' = hypot(beta, |a|) (= s up to rounding).  The blocks that
-    LaxFactors._assemble builds differ from these by the rounding Delta D.
-    Higham's gamma = n u / (1 - n u), n = max r_k + 2, bounds each entry of
-    it by gamma times the same sums taken in absolute values, so with
+    Let Z = [u | w] be the v x 2R matrix of the u and w columns of all R
+    triples, and M(t) block diagonal with M = [[beta, a], [conj a, -beta]]
+    on each triple, so that D(t) = Z M(t) Z^T for the blocks the factors
+    define; M^2 = s'^2 on each triple, s' = hypot(beta, |a|) (= s up to
+    rounding).  Columns on different strata are orthogonal, so G = Z^T Z is
+    block diagonal with the Gram G_k of [U_{k-1} | W_k] on stratum k, whose
+    entries are those of U^T U, W^T W and C_k = W_{k+1}^T U_k.  Hence, with
+    no eigendecomposition, delta = max_k ||G_k - I||_F >= ||G - I|| and
+    ||Z||^2 <= 1 + delta.  The blocks that LaxFactors._assemble builds
+    differ from Z M Z^T by the rounding Delta D.  Higham's
+    gamma = n u / (1 - n u), n = max r_k + 2, bounds each entry of it by
+    gamma times the same sums taken in absolute values, so with
     |Re a| + |Im a| <= sqrt 2 |a| and ||u||^2, ||w||^2 <= 1 + delta
 
         ||Delta d_k||_F <= e_k = sqrt 2 gamma (1 + delta) sum |a_k|,
         ||Delta D||_F <= sqrt 2 sum_k e_k + 2 gamma (1 + delta) sum |beta|.
 
-    Every diagnostic of a sample is then a few of these constants scaled by
-    its a(t) and beta(t), in O(sum r_k^2) and without a v_k x v_k product:
+    The residual rho0 >= ||D - Z M(0) Z^T||_F = (2 sum_k ||d_k - U_k S_k W_k^T||_F^2)^(1/2)
+    is one product per block and run, plus this rounding bound at t = 0;
+    it includes the triples dropped below the kernel cut.
 
     tr_m = 2 sum_k ||d_k(t)||_F^2 = 2 sum_k a^H H_k a, H_k = (U_k^T U_k) o (W_k^T W_k).
 
-    Spectrum.  M has unitary eigenvectors G(t), 2 x 2 per triple, so
-    Z = Z0 G is an eigenframe of the closed form with Lam = (s', -s', 0, ...)
-    and the residual R = D(t) Z - Z Lam = Z0 M E G.  The two rows of a
-    triple have disjoint stratum supports, so
-    ||M E||_F^2 = sum s'^2 (rho_u^2 + rho_w^2) exactly, where rho are the row
-    norms of E at the triple's columns, and ||R||_F <= (1 + delta)^(1/2) ||M E||_F.
-    With the polar decomposition Z = Q P, Q* D(t) Q = Lam + F with the
-    Hermitian F = [P - I, Lam] P^-1 + Q* R P^-1.  The eigenvalues of P are
-    sqrt(1 + e), |e| <= delta, so ||P - I|| <= delta and
-    ||P^-1|| <= (1 - delta)^(-1/2) <= 1 + delta for delta <= 1/2.  Weyl's
-    inequality on Lam + F and on Delta D gives
+    Spectrum.  The nonzero eigenvalues of Z M Z^T are those of
+    G^(1/2) M G^(1/2), and the other v - 2R are 0.  By Ostrowski's theorem
+    (Horn-Johnson, Matrix Analysis, Thm 4.5.9) the i-th eigenvalue of
+    G^(1/2) M G^(1/2) is theta_i times that of M, theta_i in
+    [1 - delta, 1 + delta], so the sorted spectrum of Z M(t) Z^T is within
+    delta max s' of sort(s', -s', 0, ...).  With the same at t = 0, Weyl's
+    inequality on D - Z M(0) Z^T and on Delta D, and sorting 1-Lipschitz in
+    the max norm, the rounded D~(t) has
 
-        |eig_i D~(t) - sort(Lam)_i| <= (1 + delta)^(3/2) ||M E||_F
-                                       + 2 (1 + delta) delta max s' + ||Delta D||_F
-
-    for the rounded D~(t).  Sorting is 1-Lipschitz in the max norm, so
-    max |sort(Lam) - eig D| <= off + max |s' - s| with
-    off = max |sort(s, -s, 0, ...) - eig D| taken once per run; the sum
-    bounds max_i |eig_i D~(t) - eig_i D|.
+        max_i |eig_i D~(t) - eig_i D| <= rho0 + delta (max s + max s')
+                                         + max |s' - s| + ||Delta D||_F.
 
     Nilpotency.  d_{k+1}(t) d_k(t) = U_{k+1} diag(a_{k+1}) C_k diag(a_k) W_k^T
-    with C_k = W_{k+1}^T U_k, and ||U_k||, ||W_k|| <= (1 + delta)^(1/2), so
-    every entry of the product of the rounded blocks is at most
+    and ||U_k||, ||W_k|| <= (1 + delta)^(1/2), so every entry of the product
+    of the rounded blocks is at most
 
         (1 + delta) ||diag(a_{k+1}) C_k diag(a_k)||_F + e_{k+1} n_k + n_{k+1} e_k + e_{k+1} e_k
 
     with n_k = (1 + delta) max |a_k| >= ||d_k(t)||.  It is 0 unless two
     consecutive blocks both have triples.
 
-    Laplacian.  D(t)^2 = Z0 M (I + E) M Z0^T
-    = sum s'^2 (u u^T + w w^T) + Z0 M E M Z0^T, and
-    Lam0 = max |sum s^2 (u u^T + w w^T) - L| is taken once per run.  With
-    ||D(t)|| <= (1 + delta) max s', every entry of D~(t)^2 - L is at most
+    Laplacian.  With G = I + E, (Z M Z^T)^2 = Z M^2 Z^T + Z M E M Z^T and
+    D = Z M(0) Z^T + R0, ||R0|| <= rho0, every entry of D~(t)^2 - L is at
+    most
 
-        Lam0 + (1 + delta) max |s'^2 - s^2| + (1 + delta) delta max s'^2
-             + 2 (1 + delta) max s' ||Delta D||_F + ||Delta D||_F^2.
+        (1 + delta) (max |s'^2 - s^2| + delta (max s'^2 + max s^2))
+            + 2 (1 + delta) max s rho0 + rho0^2
+            + 2 (1 + delta) max s' ||Delta D||_F + ||Delta D||_F^2.
 
     The bounds hold up to the rounding of the once-per-run constants
-    (delta, rho, C_k, off, Lam0), O(v eps max s^2), the order of the error
-    of a dense symmetric eigensolver itself.  A frame with delta > 1/2
-    certifies nothing, and its offset is inf.
+    (delta, C_k, rho0), O(v eps max s^2).  A frame with delta > 1/2
+    certifies nothing, and its residual is inf.
     """
 
     singular: np.ndarray  # s of every triple, block by block
-    rows: np.ndarray  # rho_u^2 + rho_w^2 of every triple
     grams: tuple[np.ndarray, ...]  # H_k
     couplings: tuple[np.ndarray, ...]  # C_k o C_k
     delta: float
-    offset: float  # off, or inf
-    defect: float  # Lam0
+    residual: float  # rho0, or inf
     gamma: float
 
     def rounding(self, coefficients) -> tuple[list[float], float]:
@@ -270,22 +255,22 @@ class _Eigenframe:
     def diagnostics(self, coefficients) -> tuple[float, float, float, float]:
         """tr_m and the bounds on the spectral drift, the nilpotency and the
         Laplacian drift of the blocks that LaxFactors builds from coefficients."""
-        grow = 1.0 + self.delta
+        grow, rho = 1.0 + self.delta, self.residual
         mags = [np.abs(a) for a, _ in coefficients]
         s = np.concatenate([np.zeros(0)] + [np.hypot(b, m) for (_, b), m in zip(coefficients, mags)])
-        top = float(np.max(s, initial=0.0))
+        top, top0 = (float(np.max(x, initial=0.0)) for x in (s, self.singular))
         e, rounding = self.rounding(coefficients)
         tr_m = 2.0 * sum(float(np.vdot(a, h @ a).real) for (a, _), h in zip(coefficients, self.grams))
-        spectrum = (self.offset + float(np.max(np.abs(s - self.singular), initial=0.0))
-                    + 2.0 * grow * self.delta * top + grow**1.5 * float(s * s @ self.rows) ** 0.5
+        spectrum = (rho + self.delta * (top0 + top) + float(np.max(np.abs(s - self.singular), initial=0.0))
                     + rounding)
         n = [grow * float(np.max(m, initial=0.0)) for m in mags]  # >= ||d_k(t)||
         nilpotency = 0.0
         for k, c in enumerate(self.couplings):
             exact = grow * float(mags[k + 1] ** 2 @ c @ mags[k] ** 2) ** 0.5
             nilpotency = max(nilpotency, exact + e[k + 1] * n[k] + n[k + 1] * e[k] + e[k + 1] * e[k])
-        laplacian = (self.defect + grow * float(np.max(np.abs(s * s - self.singular**2), initial=0.0))
-                     + grow * self.delta * top**2 + 2.0 * grow * top * rounding + rounding**2)
+        laplacian = (grow * (float(np.max(np.abs(s * s - self.singular**2), initial=0.0))
+                             + self.delta * (top**2 + top0**2))
+                     + (2.0 * grow * top0 + rho) * rho + (2.0 * grow * top + rounding) * rounding)
         return tr_m, spectrum, nilpotency, laplacian
 
 
@@ -335,11 +320,11 @@ def lax_deform(
     three certified upper bounds on the residuals of the matrices that the
     state rebuilds at its t: spectrum_error on the spectral drift
     max |eig D(t) - eig D|, nilpotency_error on max |d(t)^2| and
-    laplacian_error on max |D(t)^2 - L|.  They come from constants taken
-    once per run, scaled by the sample's coefficients (see _Eigenframe), so
-    a sample forms no block and no eigendecomposition.  The closed form
-    keeps them at rounding level, so nilpotency or spectral drift beyond
-    its bound is a bug and raises ConsistencyError.
+    laplacian_error on max |D(t)^2 - L|.  They scale constants read once
+    per run from the factors and the blocks d_k (see _Eigenframe), so the
+    run factors nothing but the blocks and a sample forms no matrix.
+    Nilpotency or spectral drift beyond its bound is a bug and raises
+    ConsistencyError.
     """
     if t_final <= 0 or h <= 0:
         raise ValueError("t_final and h must be positive")
@@ -370,38 +355,32 @@ def _lax_factors(ops: Operators, complexified: bool) -> LaxFactors:
 
 
 def _eigenframe(factors: LaxFactors, ops: Operators) -> _Eigenframe:
-    """The constants of _Eigenframe, once per run."""
+    """The constants of _Eigenframe, once per run, from the factors and ops.dblocks."""
     triples = factors.triples
-    strata = zip(factors.offsets, factors.offsets[1:])
-    spans = [[(np.zeros((hi - lo, 0)), np.zeros(0))] for lo, hi in strata]
-    for k, (u, s, w) in enumerate(triples):
-        spans[k + 1].append((u, s))
-        spans[k].append((w, s))
-    rows, delta, defect = [], 0.0, 0.0
-    for span, lap in zip(spans, ops.lap_blocks):
-        basis = np.hstack([x for x, _ in span])
-        frame = np.hstack([basis, np.linalg.qr(basis, mode="complete").Q[:, basis.shape[1] :]])
-        gap = frame.T @ frame - np.eye(len(frame))
-        delta = max(delta, float(np.max(np.abs(np.linalg.eigvalsh(gap)))))  # gap is symmetric
-        rows.append(np.sum(gap[: basis.shape[1]] ** 2, axis=1))  # rho^2 of the u, then the w columns
-        square = (basis * np.concatenate([s * s for _, s in span])) @ basis.T
-        defect = max(defect, float(np.max(np.abs(square - lap), initial=0.0)))
-    s = np.concatenate([np.zeros(0)] + [s for _, s, _ in triples])
-    lam = np.sort(np.concatenate([s, -s, np.zeros(factors.offsets[-1] - 2 * s.size)]))
-    off = float(np.max(np.abs(lam - ops.dirac_eigensystem[0]), initial=0.0))
-    lead = [0] + [s.size for _, s, _ in triples]  # the u columns of d_{k-1} lead frames[k]
-    rho = [rows[k + 1][:r] + rows[k][lead[k] : lead[k] + r] for k, r in enumerate(lead[1:])]
-    unit = float(np.finfo(float).eps) / 2 * (max(lead) + 2)
-    return _Eigenframe(
-        singular=s,
-        rows=np.concatenate([np.zeros(0)] + rho),
-        grams=tuple((u.T @ u) * (w.T @ w) for u, _, w in triples),
-        couplings=tuple((w.T @ u) ** 2 for (u, _, _), (_, _, w) in zip(triples, triples[1:])),
+    uu, ww = [u.T @ u for u, _, _ in triples], [w.T @ w for _, _, w in triples]
+    couplings = [(w.T @ u) ** 2 for (u, _, _), (_, _, w) in zip(triples, triples[1:])]
+
+    def gap(g):
+        return float(np.sum((g - np.eye(len(g))) ** 2))
+
+    # ||G_k - I||_F^2 on stratum k, from U_{k-1}^T U_{k-1}, W_k^T W_k and C_{k-1}
+    empty = np.zeros((0, 0))
+    delta = max(gap(gu) + gap(gw) + 2.0 * float(np.sum(c))
+                for gu, gw, c in zip([empty] + uu, ww + [empty], [empty] + couplings + [empty])) ** 0.5
+    unit = float(np.finfo(float).eps) / 2 * (max([s.size for _, s, _ in triples], default=0) + 2)
+    frame = _Eigenframe(
+        singular=np.concatenate([np.zeros(0)] + [s for _, s, _ in triples]),
+        grams=tuple(gu * gw for gu, gw in zip(uu, ww)),
+        couplings=tuple(couplings),
         delta=delta,
-        offset=off if delta <= 0.5 else np.inf,
-        defect=defect,
+        residual=np.inf,
         gamma=unit / (1.0 - unit),
     )
+    if delta > 0.5:
+        return frame
+    square = sum(float(np.sum((blk - (u * s) @ w.T) ** 2)) for blk, (u, s, w) in zip(ops.dblocks, triples))
+    _, rounding = frame.rounding([(s, 0.0 * s) for _, s, _ in triples])
+    return replace(frame, residual=(2.0 * square) ** 0.5 + rounding)
 
 
 def trajectory_csv(states: list[DeformationState]) -> str:

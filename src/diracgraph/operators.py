@@ -6,11 +6,12 @@ the diagonal gives d with d^2 = 0, and D = d + d^T squares to the
 block-diagonal Laplace-Beltrami operator with blocks
 L_k = d_{k-1} d_{k-1}^T + d_k^T d_k.
 
-Only the blocks d_k and L_k are stored.  The dense v x v matrices d, D and
-L are built from them on first read.  Every stored matrix is an exact
-int64 integer matrix.  The block products run in float64, which is exact
-for these integers (each entry is bounded by a block dimension, far below
-2^53); floating point is otherwise left to callers that eigendecompose.
+Only the blocks d_k are stored.  The blocks L_k and the dense v x v
+matrices d, D and L are built from them on first read.  Every one is an
+exact int64 integer matrix.  The block products run in float64, which is
+exact for these integers (each entry is bounded by a block dimension, far
+below 2^53); floating point is otherwise left to callers that
+eigendecompose.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def exterior_derivative(
 class Operators:
     """The assembled operator family of one complex and orientation.
 
-    Only the blocks are stored; the dense v x v matrices are built from
-    them on first read and cached.
+    Only the blocks d_k are stored; everything else is built from them on
+    first read and cached.
 
     Attributes
     ----------
     dblocks    : the signed incidence matrices d_0, d_1, ...
-    lap_blocks : the diagonal blocks L_k = d_{k-1} d_{k-1}^T + d_k^T d_k
     parity     : +-1 vector, +1 on even-dimensional simplices
+    lap_blocks : (lazy) the diagonal blocks L_k = d_{k-1} d_{k-1}^T + d_k^T d_k
     d          : (lazy) v x v strictly lower-block-triangular exterior derivative
     dirac      : (lazy) D = d + d^T
     laplacian  : (lazy) L = D^2, block diagonal with blocks lap_blocks
@@ -66,7 +67,6 @@ class Operators:
     complex: CliqueComplex
     orientation: OrientationAssignment
     dblocks: tuple[np.ndarray, ...]
-    lap_blocks: tuple[np.ndarray, ...]
     parity: np.ndarray
 
     @property
@@ -87,6 +87,21 @@ class Operators:
         for r, c, blk in blocks:
             m[self.block_slice(r), self.block_slice(c)] = blk
         return m
+
+    @cached_property
+    def lap_blocks(self) -> tuple[np.ndarray, ...]:
+        # float64 BLAS products are exact here: every entry of a product is an
+        # integer bounded by the block's inner dimension, far below 2^53
+        f = [b.astype(float) for b in self.dblocks]
+        out = []
+        for k in range(len(self.complex.strata)):
+            lap = np.zeros((self.complex.count(k),) * 2)
+            if k > 0:
+                lap += f[k - 1] @ f[k - 1].T
+            if k < len(f):
+                lap += f[k].T @ f[k]
+            out.append(lap.astype(np.int64))
+        return tuple(out)
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -120,31 +135,15 @@ def parity_vector(c: CliqueComplex) -> np.ndarray:
 def build_operators(
     c: CliqueComplex, orientation: OrientationAssignment | None = None
 ) -> Operators:
-    """Assemble the blocks d_k and L_k, verifying d_{k+1} d_k = 0."""
+    """Assemble the blocks d_k, verifying d_{k+1} d_k = 0."""
     o = orientation or OrientationAssignment()
     dblocks = tuple(exterior_derivative(c, o, k) for k in range(max(c.top_dim, 0)))
-    # float64 BLAS products are exact here: every entry of a product is an
-    # integer bounded by the block's inner dimension, far below 2^53
-    fblocks = [b.astype(float) for b in dblocks]
-    for k in range(len(fblocks) - 1):
-        # a violation is an assembly bug, never a property of the input graph
-        if (fblocks[k + 1] @ fblocks[k]).any():
+    for k in range(len(dblocks) - 1):
+        # a violation is an assembly bug, never a property of the input graph;
+        # the float64 product is exact, as in Operators.lap_blocks
+        if (dblocks[k + 1].astype(float) @ dblocks[k].astype(float)).any():
             raise ConsistencyError(f"d_{k + 1} d_{k} != 0 (d^2 != 0)")
-    lap_blocks = []
-    for k in range(len(c.strata)):
-        lap = np.zeros((c.count(k), c.count(k)))
-        if k > 0:
-            lap += fblocks[k - 1] @ fblocks[k - 1].T
-        if k < len(fblocks):
-            lap += fblocks[k].T @ fblocks[k]
-        lap_blocks.append(lap.astype(np.int64))
-    return Operators(
-        complex=c,
-        orientation=o,
-        dblocks=dblocks,
-        lap_blocks=tuple(lap_blocks),
-        parity=parity_vector(c),
-    )
+    return Operators(complex=c, orientation=o, dblocks=dblocks, parity=parity_vector(c))
 
 
 def operators_for(g: SimpleGraph, orientation=None, max_dim=None) -> Operators:
@@ -152,19 +151,15 @@ def operators_for(g: SimpleGraph, orientation=None, max_dim=None) -> Operators:
 
 
 def simplex_degree(ops: Operators, p: int, x: int) -> int:
-    """Number of (p+1)-simplices containing the simplex with global index x.
-
-    Reads off the Laplacian diagonal: L_p(x,x) - (p+1) for p >= 1 and
-    L_0(x,x) for p = 0.
-    """
+    """Number of (p+1)-simplices containing the simplex with global index x:
+    the nonzeros of its column of d_p (none on the top stratum)."""
     c = ops.complex
     if not 0 <= p < len(c.strata):
         raise IndexError(f"no stratum of dimension {p}")
     lo = c.offsets[p]
     if not lo <= x < lo + c.count(p):
         raise IndexError(f"global index {x} is not in stratum {p}")
-    diag = int(ops.lap_blocks[p][x - lo, x - lo])
-    return diag if p == 0 else diag - (p + 1)
+    return int(np.count_nonzero(ops.dblocks[p][:, x - lo])) if p < len(ops.dblocks) else 0
 
 
 def path_count(ops: Operators, x: int, y: int, k: int) -> int:

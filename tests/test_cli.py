@@ -319,6 +319,16 @@ def test_exit_code_capacity_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_out_of_memory_exits_capacity(example_file, capsys, monkeypatch):
+    def exhausted(c, orientation=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_operators", exhausted)
+    code, out, err = run(capsys, "cohomology", example_file)
+    assert (code, out) == (3, "")
+    assert err == "capacity error: out of memory in cohomology\n"
+
+
 def test_exit_code_internal_error(example_file, capsys, monkeypatch):
     def broken(args):
         raise ConsistencyError("d_1 d_0 != 0")

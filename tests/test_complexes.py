@@ -19,7 +19,15 @@ from diracgraph import (
     simplex_distance,
     simplex_graph,
 )
-from conftest import brute_cliques, brute_chi, erdos_renyi, octahedron
+from conftest import (
+    brute_cliques,
+    brute_chi,
+    erdos_renyi,
+    icosahedron,
+    octahedron,
+    random_suite,
+    truncated_cube,
+)
 
 
 def test_simple_graph_normalizes_edges():
@@ -205,6 +213,17 @@ def test_induced_subgraph_preserves_order():
     h = g.induced([1, 3])
     assert h.vertices == (3, 1)
     assert h.edges == ((3, 1),)
+    with pytest.raises(ValueError, match="unknown vertices"):
+        g.induced([1, 7])
+    # random subsets, against the definition: the host's edges with both ends kept
+    rng = random.Random(3)
+    graphs = random_suite() + [octahedron(), icosahedron(), truncated_cube(), SimpleGraph([4, 0, 2], [])]
+    for g in graphs:
+        for _ in range(5):
+            keep = set(rng.sample(g.vertices, rng.randint(0, g.n)))
+            h = g.induced(keep)
+            assert h.vertices == tuple(v for v in g.vertices if v in keep)
+            assert h.edges == tuple(e for e in g.edges if e[0] in keep and e[1] in keep)
 
 
 def test_distances_bfs():

@@ -210,6 +210,8 @@ def test_lax_closed_form_matches_dense_oracle(example, graph, variant):
     ops = operators_for(example if graph == "example" else octahedron())
     # RK4's error at h = 0.0025 is about 3e-10 here and falls as h^4
     states = lax_deform(ops, 2.0, 0.0025, variant=variant)
+    # the run reads the blocks d_k alone: no dense D, L, L_k or Dirac spectrum
+    assert not {"dirac_eigensystem", "dirac", "laplacian", "lap_blocks"} & set(vars(ops))
     oracle = dense_lax_deform(ops, 2.0, 0.0025, variant=variant)
     assert [s.t for s in states] == [o.t for o in oracle]
     for s, o in zip(states, oracle):
@@ -309,12 +311,13 @@ def test_bounds_against_exact_arithmetic(example, graph, variant):
         assert _max_square(re - ops.laplacian, im) <= Fraction(laplacian) ** 2
 
 
-@pytest.mark.parametrize("fault", ["singular vector", "singular value"])
+@pytest.mark.parametrize("fault", ["singular vector", "singular value", "u column"])
 @pytest.mark.parametrize("variant", ["real", "complexified"])
 def test_bounds_cover_faulty_factors(example_ops, monkeypatch, fault, variant):
     # a 1e-6 fault in the factors: a row of d_1 tilted towards the range of
     # d_0 reaches d(t)^2, a moved singular value reaches D(t)^2 - L and the
-    # spectrum; each bound must cover what the rebuilt matrices show
+    # spectrum, and a u column of d_0 tilted off its true direction moves
+    # D(0) away from D; each bound must cover what the rebuilt matrices show
     exact = dynamics._lax_factors
 
     def faulty(ops, complexified):
@@ -322,9 +325,13 @@ def test_bounds_cover_faulty_factors(example_ops, monkeypatch, fault, variant):
         (u0, s0, w0), (u1, s1, w1) = factors.triples
         if fault == "singular value":
             s1 = s1 + 1e-6
-        else:
+        elif fault == "singular vector":
             w1 = w1.copy()
             w1[:, 0] = (w1[:, 0] + 1e-6 * u0[:, 0]) / np.hypot(1.0, 1e-6)
+        else:
+            tilt = np.random.default_rng(5).normal(size=len(u0))
+            u0 = u0.copy()
+            u0[:, 0] = (u0[:, 0] + 1e-6 * tilt / np.linalg.norm(tilt)) / np.hypot(1.0, 1e-6)
         return replace(factors, triples=((u0, s0, w0), (u1, s1, w1)))
 
     monkeypatch.setattr(dynamics, "_lax_factors", faulty)
@@ -342,6 +349,17 @@ def test_bounds_cover_faulty_factors(example_ops, monkeypatch, fault, variant):
         assert nilpotency <= s.nilpotency_error
         assert laplacian <= s.laplacian_error
         assert drift <= s.spectrum_error
+
+
+def test_frame_with_delta_above_half_certifies_nothing(example_ops):
+    factors = dynamics._lax_factors(example_ops, False)
+    (u0, s0, w0), (u1, s1, w1) = factors.triples
+    w1 = w1.copy()
+    w1[:, 1] = w1[:, 0]  # two equal columns: ||G - I|| >= 1
+    frame = dynamics._eigenframe(replace(factors, triples=((u0, s0, w0), (u1, s1, w1))), example_ops)
+    assert frame.delta > 0.5 and frame.residual == np.inf
+    _, spectrum, _, laplacian = frame.diagnostics(factors.coefficients(0.3))
+    assert spectrum == laplacian == np.inf
 
 
 @pytest.mark.parametrize("graph", [
