@@ -15,7 +15,6 @@ from .complexes import (
     build_complex,
     euler_characteristic,
     example_graph,
-    graph_euler_characteristic,
     load_edge_list,
     parse_edge_list,
     simplex_distance,
@@ -57,7 +56,6 @@ from .hodge import (
     KERNEL_TOL,
     Cochain,
     HodgeDecomposition,
-    SpectralSummary,
     betti,
     betti_numbers,
     cohomology_report,
@@ -66,7 +64,6 @@ from .hodge import (
     heat_kernel,
     hodge_decompose,
     kernel_cut,
-    spectral_summary,
     super_trace,
 )
 from .morphisms import (

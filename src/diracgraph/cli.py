@@ -69,19 +69,21 @@ def cmd_analyze(args):
     g, c, ops = _ops(args)
     b = hodge.betti_numbers(ops, args.tol)
     eigs = ops.dirac_eigensystem[0]
-    cut = hodge.kernel_cut(eigs, args.tol)
+    zero = ~hodge.nonzero(eigs, args.tol)
     pdet = nonzero_product(eigs, args.tol)
     pdet_l = nonzero_product(np.sort(np.concatenate([e for e, _ in ops.block_eigensystems])), args.tol)
     for name, value in (("Det(D)^2", pdet * pdet), ("Det(L)", pdet_l)):
         if not np.isfinite(value):
             raise OverflowError(f"{name} of this {c.v}-simplex complex overflows the float range")
     torsion = analytic_torsion(ops, args.tol)
+    # tr L = tr D^2 = 2 nnz(d): each (k+1)-simplex has k + 2 faces
+    trace_l = 2 * sum((k + 1) * n for k, n in enumerate(c.counts) if k)
     report = {
         "v": list(c.counts),
         "chi": euler_characteristic(c),
         "betti": list(b),
-        "positiveDiracEigenvalues": [float(x) for x in eigs[eigs > cut]],
-        "kernelDim": int(np.sum(np.abs(eigs) <= cut)),
+        "positiveDiracEigenvalues": [float(x) for x in eigs[~zero & (eigs > 0)]],
+        "kernelDim": int(np.sum(zero)),
         "diracPseudoDeterminant": pdet,
         "characteristicPolynomial": dirac_charpoly(ops),
         "analyticTorsion": torsion,
@@ -89,7 +91,7 @@ def cmd_analyze(args):
             invariant_report("Det(D)^2 = Det(L)", pdet ** 2, pdet_l, 1e-6),
             invariant_report("zeta(-2) = tr(L)",
                              float(dirac_zeta(ops, -2, args.tol).value.real),
-                             float(sum(np.trace(b) for b in ops.lap_blocks)), 1e-8),
+                             float(trace_l), 1e-8),
             invariant_report("analytic torsion = 1", torsion, 1.0, 1e-8),
         ],
     }

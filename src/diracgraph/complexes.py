@@ -5,7 +5,9 @@ host graph's vertex order; that ascending order is also its canonical
 orientation.  The clique complex lists every complete subgraph, graded by
 dimension, and assigns each simplex a global index (dimension-major,
 lexicographic within each stratum).  All matrices downstream use that
-indexing, so it is part of the public contract.
+indexing, so it is part of the public contract.  The face relation is
+walked once, into the index arrays CliqueComplex.faces, which every
+boundary operator and the simplex graph read.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ComputationError, EdgeListError, GraphMismatchError
 
@@ -203,7 +207,6 @@ class CliqueComplex:
 
     host: SimpleGraph
     strata: tuple[tuple[Simplex, ...], ...]
-    index: Mapping[Simplex, int] = field(repr=False)
     offsets: tuple[int, ...]
 
     @property
@@ -234,6 +237,19 @@ class CliqueComplex:
     def local_index(self) -> tuple[dict[Simplex, int], ...]:
         return tuple({s: i for i, s in enumerate(st)} for st in self.strata)
 
+    @cached_property
+    def faces(self) -> tuple[np.ndarray, ...]:
+        """The face relation, one int array per degree k < top_dim.
+
+        faces[k][j, i] is the local index in stratum k of the j-th
+        (k+1)-simplex with its i-th vertex (ascending order) removed.
+        """
+        out = []
+        for k, lower in enumerate(self.local_index[:-1]):
+            rows = [[lower[y[:i] + y[i + 1 :]] for i in range(k + 2)] for y in self.strata[k + 1]]
+            out.append(np.array(rows, dtype=np.intp).reshape(-1, k + 2))
+        return tuple(out)
+
 
 def build_complex(g: SimpleGraph, max_dim: int | None = None) -> CliqueComplex:
     """Enumerate all cliques of g up to max_dim (default: until exhausted).
@@ -261,22 +277,13 @@ def build_complex(g: SimpleGraph, max_dim: int | None = None) -> CliqueComplex:
             break
         nxt.sort(key=lambda s: tuple(pos[x] for x in s))
         strata.append(tuple(nxt))
-    index: dict[Simplex, int] = {}
-    offsets = []
-    for st in strata:
-        offsets.append(len(index))
-        for s in st:
-            index[s] = len(index)
-    return CliqueComplex(host=g, strata=tuple(strata), index=index, offsets=tuple(offsets))
+    offsets = tuple(accumulate((len(st) for st in strata), initial=0))[:-1]
+    return CliqueComplex(host=g, strata=tuple(strata), offsets=offsets)
 
 
 def euler_characteristic(c: CliqueComplex) -> int:
     """Alternating sum of the clique counts, i.e. the value v(-1)."""
     return sum((-1) ** k * n for k, n in enumerate(c.counts))
-
-
-def graph_euler_characteristic(g: SimpleGraph) -> int:
-    return euler_characteristic(build_complex(g))
 
 
 @dataclass(frozen=True)
@@ -312,14 +319,9 @@ def simplex_graph(c: CliqueComplex) -> SimpleGraph:
     faces of a simplex are never incident to each other.
     """
     edges = []
-    for k in range(1, len(c.strata)):
-        lower = c.local_index[k - 1]
-        base_lo = c.offsets[k - 1]
-        base_hi = c.offsets[k]
-        for j, y in enumerate(c.strata[k]):
-            for i in range(len(y)):
-                face = y[:i] + y[i + 1 :]
-                edges.append((base_lo + lower[face], base_hi + j))
+    for k, faces in enumerate(c.faces):
+        cofaces = np.repeat(np.arange(len(faces)), k + 2) + c.offsets[k + 1]
+        edges += zip((faces.ravel() + c.offsets[k]).tolist(), cofaces.tolist())
     return SimpleGraph(range(c.v), edges)
 
 

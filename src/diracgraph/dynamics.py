@@ -44,29 +44,27 @@ from decimal import ROUND_CEILING, Context
 import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError
-from .hodge import Cochain, kernel_cut
-from .operators import Operators
+from .hodge import Cochain, nonzero
+from .operators import Operators, place
 
 
-def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray, rtol: float = 1e-8) -> Cochain:
+def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray) -> Cochain:
     """Minimum-norm solution of L_k A = j.
 
-    The right-hand side must be orthogonal to ker(L_k) (relative to rtol);
-    otherwise the problem is unsolvable and the offending kernel projection
-    norm is reported.
+    The right-hand side must be orthogonal to ker(L_k), up to 1e-8 of its
+    norm; otherwise the problem is unsolvable and the offending kernel
+    projection norm is reported.
     """
     values = np.asarray(j.values if isinstance(j, Cochain) else j, dtype=float)
     eigs, vecs = ops.block_eigensystems[k]
     if values.shape != eigs.shape:
         raise ValueError(f"right-hand side length {values.size} does not match stratum {k}")
-    cut = kernel_cut(eigs)
+    positive = nonzero(eigs)
     coeffs = vecs.T @ values
-    kernel_part = coeffs[eigs < cut]
-    knorm = float(np.linalg.norm(kernel_part))
-    jnorm = float(np.linalg.norm(values))
-    if knorm > rtol * max(jnorm, 1e-300):
+    knorm = float(np.linalg.norm(coeffs[~positive]))
+    if knorm > 1e-8 * max(float(np.linalg.norm(values)), 1e-300):
         raise UnsolvableError(knorm)
-    inv = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs >= cut)
+    inv = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=positive)
     return Cochain(k, vecs @ (inv * coeffs))
 
 
@@ -99,11 +97,10 @@ def wave_evolve(ops: Operators, w: WaveState, t: float) -> WaveState:
     """
     k = w.u.degree
     eigs, vecs = ops.block_eigensystems[k]
-    cut = kernel_cut(eigs)
     u_hat = vecs.T @ np.asarray(w.u.values, dtype=float)
     v_hat = vecs.T @ np.asarray(w.v.values, dtype=float)
     omega = np.sqrt(np.clip(eigs, 0.0, None))
-    positive = eigs >= cut
+    positive = nonzero(eigs)
     cos_t = np.cos(omega * t)
     sin_t = np.sin(omega * t)
     sinc = np.divide(sin_t, omega, out=np.full_like(omega, t), where=positive)
@@ -166,15 +163,10 @@ class LaxFactors:
     def dense(self, d: list[np.ndarray], b: list[np.ndarray], adjoint: bool = False) -> np.ndarray:
         """The v x v matrix with the blocks d at (k+1, k), their adjoints at
         (k, k+1) if asked, and b on the diagonal; pass [] to leave either out."""
-        strata = [slice(lo, hi) for lo, hi in zip(self.offsets, self.offsets[1:])]
-        m = np.zeros((self.offsets[-1],) * 2, dtype=complex if self.complexified else float)
-        for k, blk in enumerate(d):
-            m[strata[k + 1], strata[k]] = blk
-            if adjoint:
-                m[strata[k], strata[k + 1]] = blk.conj().T
-        for k, blk in enumerate(b):
-            m[strata[k], strata[k]] = blk
-        return m
+        lower = [(k + 1, k, blk) for k, blk in enumerate(d)]
+        blocks = lower + [(c, r, blk.conj().T) for r, c, blk in lower if adjoint]
+        blocks += [(k, k, blk) for k, blk in enumerate(b)]
+        return place(self.offsets, self.offsets[-1], blocks, complex if self.complexified else float)
 
 
 @dataclass(frozen=True)
@@ -345,11 +337,11 @@ def lax_deform(
 
 
 def _lax_factors(ops: Operators, complexified: bool) -> LaxFactors:
-    """One SVD per block d_k, keeping the triples with s^2 above the kernel cut."""
+    """One SVD per block d_k, keeping the triples whose s^2 is nonzero."""
     triples = []
     for blk in ops.dblocks:
         u, s, wt = np.linalg.svd(blk.astype(float), full_matrices=False)
-        keep = s * s >= kernel_cut(s * s)
+        keep = nonzero(s * s)
         triples.append((u[:, keep], s[keep], wt[keep].T))
     return LaxFactors(ops.offsets + (ops.v,), tuple(triples), complexified)
 

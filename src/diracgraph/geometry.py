@@ -38,12 +38,12 @@ def _star_counts(g: SimpleGraph) -> dict[int, list[int]]:
 def curvature(g: SimpleGraph, x: int) -> Fraction:
     """Exact rational curvature of a vertex.
 
-    The simplices that contain x are those of the closed neighbourhood
-    {x} + N(x), so only its clique complex is built.
+    The simplices that contain x are x joined to the cliques of its unit
+    sphere, so K(x) = 1 + sum of (-1)^(k+1) n_k / (k+2) over the counts n_k
+    of the sphere's k-simplices.
     """
-    if x not in g.position:
-        raise ValueError(f"unknown vertex {x}")
-    return curvature_vector(g.induced(g.adjacency[x] | {x}))[x]
+    counts = build_complex(unit_sphere(g, x)).counts
+    return sum((Fraction((-1) ** (k + 1) * n, k + 2) for k, n in enumerate(counts)), Fraction(1))
 
 
 def curvature_vector(g: SimpleGraph) -> dict[int, Fraction]:

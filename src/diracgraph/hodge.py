@@ -1,9 +1,10 @@
 """Hodge theory: Betti numbers, harmonic forms, super traces, heat kernel.
 
 Betti numbers are integer claims made from floating-point eigenvalues, so
-the kernel threshold is explicit everywhere: an eigenvalue counts as zero
-when it is below tol * max(1, lambda_max).  The default tol of 1e-9 keeps
-a wide margin at desk scale, where the smallest nonzero eigenvalue of an
+the kernel threshold is explicit everywhere: nonzero is the package's one
+zero test, and an eigenvalue counts as zero when
+|lambda| <= tol * max(1, max |lambda|).  The default tol of 1e-9 keeps a
+wide margin at desk scale, where the smallest nonzero eigenvalue of an
 integer Laplacian stays far above it.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import euler_characteristic
-from .operators import Operators
+from .operators import Operators, place
 
 KERNEL_TOL = 1e-9
 
@@ -33,13 +34,6 @@ class Cochain:
 
 
 @dataclass(frozen=True)
-class SpectralSummary:
-    eigenvalues: np.ndarray
-    kernel_dim: int
-    tolerance: float
-
-
-@dataclass(frozen=True)
 class HodgeDecomposition:
     exact: Cochain
     coexact: Cochain
@@ -51,17 +45,19 @@ def kernel_cut(eigs: np.ndarray, tol: float = KERNEL_TOL) -> float:
     return tol * scale
 
 
-def spectral_summary(ops: Operators, k: int, tol: float = KERNEL_TOL) -> SpectralSummary:
-    if not 0 <= k < len(ops.complex.strata):
-        return SpectralSummary(np.array([]), 0, tol)
-    eigs = ops.block_eigensystems[k][0]
-    cut = kernel_cut(eigs, tol)
-    return SpectralSummary(eigs, int(np.sum(eigs < cut)), tol)
+def nonzero(eigs: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
+    """The mask of the eigenvalues that count as nonzero: |lambda| > kernel_cut(eigs, tol).
+
+    This is the package's one zero test; an eigenvalue at the cut is zero.
+    """
+    return np.abs(eigs) > kernel_cut(eigs, tol)
 
 
 def betti(ops: Operators, k: int, tol: float = KERNEL_TOL) -> int:
     """dim ker(L_k); zero for degrees beyond the top dimension."""
-    return spectral_summary(ops, k, tol).kernel_dim
+    if not 0 <= k < len(ops.complex.strata):
+        return 0
+    return int(np.sum(~nonzero(ops.block_eigensystems[k][0], tol)))
 
 
 def betti_numbers(ops: Operators, tol: float = KERNEL_TOL) -> tuple[int, ...]:
@@ -73,8 +69,7 @@ def harmonic_basis(ops: Operators, k: int, tol: float = KERNEL_TOL) -> list[Coch
     if not 0 <= k < len(ops.complex.strata):
         return []
     eigs, vecs = ops.block_eigensystems[k]
-    cut = kernel_cut(eigs, tol)
-    return [Cochain(k, vecs[:, i].copy()) for i in range(len(eigs)) if eigs[i] < cut]
+    return [Cochain(k, vecs[:, i].copy()) for i in np.flatnonzero(~nonzero(eigs, tol))]
 
 
 def hodge_decompose(ops: Operators, f: Cochain, tol: float = KERNEL_TOL) -> HodgeDecomposition:
@@ -85,11 +80,9 @@ def hodge_decompose(ops: Operators, f: Cochain, tol: float = KERNEL_TOL) -> Hodg
     by the Hodge decomposition.
     """
     k = f.degree
-    c = ops.complex
     values = np.asarray(f.values, dtype=float)
     eigs, vecs = ops.block_eigensystems[k]
-    cut = kernel_cut(eigs, tol)
-    kernel = vecs[:, eigs < cut]
+    kernel = vecs[:, ~nonzero(eigs, tol)]
     harmonic = kernel @ (kernel.T @ values)
     rest = values - harmonic
     if k >= 1:
@@ -122,14 +115,9 @@ def heat_kernel(ops: Operators, t: float) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("heat kernel requires t >= 0")
-    v = ops.v
-    out = np.zeros((v, v))
-    for k in range(len(ops.complex.strata)):
-        eigs, vecs = ops.block_eigensystems[k]
-        blk = (vecs * np.exp(-t * eigs)) @ vecs.T
-        s = ops.block_slice(k)
-        out[s, s] = blk
-    return out
+    blocks = ((k, k, (vecs * np.exp(-t * eigs)) @ vecs.T)
+              for k, (eigs, vecs) in enumerate(ops.block_eigensystems))
+    return place(ops.offsets, ops.v, blocks, float)
 
 
 def euler_poincare_check(ops: Operators, tol: float = KERNEL_TOL) -> dict[str, int]:

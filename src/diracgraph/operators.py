@@ -1,13 +1,14 @@
 """Exterior derivative blocks, the Dirac matrix and the Laplacian.
 
 The block d_k maps functions on k-simplices to functions on
-(k+1)-simplices with the alternating sign rule; stacking the blocks below
-the diagonal gives d with d^2 = 0, and D = d + d^T squares to the
+(k+1)-simplices with the alternating sign rule, scattered from the face
+table CliqueComplex.faces; d_{k+1} d_k = 0, and D = d + d^T squares to the
 block-diagonal Laplace-Beltrami operator with blocks
 L_k = d_{k-1} d_{k-1}^T + d_k^T d_k.
 
 Only the blocks d_k are stored.  The blocks L_k and the dense v x v
-matrices d, D and L are built from them on first read.  Every one is an
+matrices D and L are built from them on first read, and place is the one
+function that puts blocks on the v x v stratum grid.  Every one is an
 exact int64 integer matrix.  The block products run in float64, which is
 exact for these integers (each entry is bounded by a block dimension, far
 below 2^53); floating point is otherwise left to callers that
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,15 +38,24 @@ def exterior_derivative(
     if not 0 <= k < c.top_dim:
         raise ValueError(f"degree {k} out of range for a complex of top dimension {c.top_dim}")
     o = o or OrientationAssignment()
-    rows, cols = c.count(k + 1), c.count(k)
-    lower = c.local_index[k]
-    d = np.zeros((rows, cols), dtype=np.int64)
-    for j, y in enumerate(c.stratum(k + 1)):
-        oy = o.sign(y)
-        for i in range(len(y)):
-            x = y[:i] + y[i + 1 :]
-            d[j, lower[x]] = oy * o.sign(x) * (-1) ** i
+    faces = c.faces[k]
+    upper = np.array([o.sign(y) for y in c.stratum(k + 1)], dtype=np.int64)
+    lower = np.array([o.sign(x) for x in c.stratum(k)], dtype=np.int64)
+    d = np.zeros((c.count(k + 1), c.count(k)), dtype=np.int64)
+    d[np.arange(len(faces))[:, None], faces] = upper[:, None] * lower[faces] * (-1) ** np.arange(k + 2)
     return d
+
+
+def place(offsets: Sequence[int], v: int, blocks: Iterable[tuple[int, int, np.ndarray]],
+          dtype=np.int64) -> np.ndarray:
+    """The v x v matrix holding each (row stratum, column stratum, block).
+
+    Stratum k starts at offsets[k]; a block's shape gives its extent.
+    """
+    m = np.zeros((v, v), dtype=dtype)
+    for r, c, blk in blocks:
+        m[offsets[r] : offsets[r] + blk.shape[0], offsets[c] : offsets[c] + blk.shape[1]] = blk
+    return m
 
 
 @dataclass(frozen=True)
@@ -52,20 +63,18 @@ class Operators:
     """The assembled operator family of one complex and orientation.
 
     Only the blocks d_k are stored; everything else is built from them on
-    first read and cached.
+    first read and cached, the dense matrices by place.
 
     Attributes
     ----------
     dblocks    : the signed incidence matrices d_0, d_1, ...
     parity     : +-1 vector, +1 on even-dimensional simplices
     lap_blocks : (lazy) the diagonal blocks L_k = d_{k-1} d_{k-1}^T + d_k^T d_k
-    d          : (lazy) v x v strictly lower-block-triangular exterior derivative
-    dirac      : (lazy) D = d + d^T
+    dirac      : (lazy) D = d + d^T, d holding d_k at (k+1, k)
     laplacian  : (lazy) L = D^2, block diagonal with blocks lap_blocks
     """
 
     complex: CliqueComplex
-    orientation: OrientationAssignment
     dblocks: tuple[np.ndarray, ...]
     parity: np.ndarray
 
@@ -76,17 +85,6 @@ class Operators:
     @property
     def offsets(self) -> tuple[int, ...]:
         return self.complex.offsets
-
-    def block_slice(self, k: int) -> slice:
-        start = self.complex.offsets[k]
-        return slice(start, start + self.complex.count(k))
-
-    def _dense(self, blocks) -> np.ndarray:
-        """v x v int64 matrix holding each (row stratum, column stratum, block)."""
-        m = np.zeros((self.v, self.v), dtype=np.int64)
-        for r, c, blk in blocks:
-            m[self.block_slice(r), self.block_slice(c)] = blk
-        return m
 
     @cached_property
     def lap_blocks(self) -> tuple[np.ndarray, ...]:
@@ -104,17 +102,13 @@ class Operators:
         return tuple(out)
 
     @cached_property
-    def d(self) -> np.ndarray:
-        return self._dense((k + 1, k, b) for k, b in enumerate(self.dblocks))
-
-    @cached_property
     def dirac(self) -> np.ndarray:
         lower = [(k + 1, k, b) for k, b in enumerate(self.dblocks)]
-        return self._dense(lower + [(c, r, b.T) for r, c, b in lower])
+        return place(self.offsets, self.v, lower + [(c, r, b.T) for r, c, b in lower])
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        return self._dense((k, k, b) for k, b in enumerate(self.lap_blocks))
+        return place(self.offsets, self.v, ((k, k, b) for k, b in enumerate(self.lap_blocks)))
 
     @cached_property
     def dirac_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -126,24 +120,20 @@ class Operators:
 
 
 def parity_vector(c: CliqueComplex) -> np.ndarray:
-    p = np.empty(c.v, dtype=np.int64)
-    for k in range(len(c.strata)):
-        p[c.offsets[k] : c.offsets[k] + c.count(k)] = (-1) ** k
-    return p
+    return np.repeat((-1) ** np.arange(len(c.strata), dtype=np.int64), c.counts)
 
 
 def build_operators(
     c: CliqueComplex, orientation: OrientationAssignment | None = None
 ) -> Operators:
     """Assemble the blocks d_k, verifying d_{k+1} d_k = 0."""
-    o = orientation or OrientationAssignment()
-    dblocks = tuple(exterior_derivative(c, o, k) for k in range(max(c.top_dim, 0)))
+    dblocks = tuple(exterior_derivative(c, orientation, k) for k in range(c.top_dim))
     for k in range(len(dblocks) - 1):
         # a violation is an assembly bug, never a property of the input graph;
         # the float64 product is exact, as in Operators.lap_blocks
         if (dblocks[k + 1].astype(float) @ dblocks[k].astype(float)).any():
             raise ConsistencyError(f"d_{k + 1} d_{k} != 0 (d^2 != 0)")
-    return Operators(complex=c, orientation=o, dblocks=dblocks, parity=parity_vector(c))
+    return Operators(complex=c, dblocks=dblocks, parity=parity_vector(c))
 
 
 def operators_for(g: SimpleGraph, orientation=None, max_dim=None) -> Operators:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexes import CliqueComplex, SimpleGraph, build_complex, simplex_graph
 from .errors import ComputationError, GraphMismatchError
-from .hodge import KERNEL_TOL, kernel_cut
+from .hodge import KERNEL_TOL, nonzero
 from .operators import Operators, build_operators
 
 
@@ -76,10 +76,9 @@ def pseudo_det(m: np.ndarray, tol: float = KERNEL_TOL) -> float:
 
 
 def nonzero_product(eigs: np.ndarray, tol: float = KERNEL_TOL) -> float:
-    """Product of the eigenvalues above the kernel cut (none = 1, overflow = inf)."""
-    cut = kernel_cut(eigs, tol)
+    """Product of the nonzero eigenvalues (none = 1, overflow = inf)."""
     with np.errstate(over="ignore"):  # a product beyond double range is inf
-        return float(np.prod(eigs[np.abs(eigs) > cut]))
+        return float(np.prod(eigs[nonzero(eigs, tol)]))
 
 
 # two primes below 2**31: every product of two residues fits in int64
@@ -198,9 +197,9 @@ def _zeta(eigs: np.ndarray, s: complex, tol: float) -> complex:
     Raises ComputationError when the sum is not finite in double precision,
     as for large Re s when some |lambda| < 1.
     """
-    cut = kernel_cut(eigs, tol) if eigs.size else 0.0
-    pos = eigs[eigs > cut]
-    neg = -eigs[eigs < -cut]
+    eigs = eigs[nonzero(eigs, tol)]
+    pos = eigs[eigs > 0]
+    neg = -eigs[eigs < 0]
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(np.sum(pos ** (-s))) if pos.size else 0j
         if neg.size:
@@ -222,8 +221,8 @@ def dirac_zeta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> ZetaEvalu
 def zeta_derivative_at_zero(ops: Operators, tol: float = KERNEL_TOL) -> complex:
     """zeta'(0) = -sum log|lambda| - i pi #{lambda < 0}, over the nonzero Dirac eigenvalues."""
     eigs = ops.dirac_eigensystem[0]
-    nonzero = eigs[np.abs(eigs) > kernel_cut(eigs, tol)]
-    return complex(-fsum(np.log(np.abs(nonzero))), -np.pi * int(np.sum(nonzero < 0)))
+    eigs = eigs[nonzero(eigs, tol)]
+    return complex(-fsum(np.log(np.abs(eigs))), -np.pi * int(np.sum(eigs < 0)))
 
 
 def eta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> complex:
@@ -244,8 +243,7 @@ def analytic_torsion(ops: Operators, tol: float = KERNEL_TOL) -> float:
     log_odd = 0.0
     for p in range(len(ops.complex.strata)):
         eigs = ops.block_eigensystems[p][0]
-        cut = kernel_cut(eigs, tol)
-        s = fsum(log(x) for x in eigs[eigs > cut])
+        s = fsum(log(x) for x in eigs[nonzero(eigs, tol)])
         if p % 2 == 0:
             log_even += s
         else:
@@ -310,8 +308,11 @@ def max_simplex_degree(*matrices: np.ndarray) -> int:
     return max(int(np.max(np.count_nonzero(m, axis=0))) if m.size else 0 for m in matrices)
 
 
-def magnitude(g: SimpleGraph, cond_limit: float = 1e12) -> float:
-    """Sum of the entries of Z^(-1) with Z_ij = exp(-geodesic distance)."""
+def magnitude(g: SimpleGraph) -> float:
+    """Sum of the entries of Z^(-1) with Z_ij = exp(-geodesic distance).
+
+    A similarity matrix with condition number above 1e12 is singular.
+    """
     if g.n == 0:
         raise ComputationError("magnitude of the empty graph is undefined")
     if not g.is_connected():
@@ -324,7 +325,7 @@ def magnitude(g: SimpleGraph, cond_limit: float = 1e12) -> float:
         for u, duv in dist.items():
             z[pos[v], pos[u]] = exp(-duv)
     cond = np.linalg.cond(z)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise ComputationError(f"similarity matrix is numerically singular (cond = {cond:.3e})")
     w = np.linalg.solve(z, np.ones(n))
     return float(np.sum(w))

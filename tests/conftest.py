@@ -302,11 +302,12 @@ def complete_dirac_pair(g: SimpleGraph, h: SimpleGraph) -> tuple[np.ndarray, np.
     Lidskii comparison over every simplex of the complete graph.
     """
     full = build_complex(SimpleGraph(g.vertices, combinations(g.vertices, 2)))
+    index = {s: i for i, s in enumerate(full.simplices)}
     out = []
     for graph in (g, h):
         ops = operators_for(graph)
         big = np.zeros((full.v, full.v), dtype=np.int64)
-        idx = [full.index[s] for s in ops.complex.simplices]
+        idx = [index[s] for s in ops.complex.simplices]
         big[np.ix_(idx, idx)] = ops.dirac
         out.append(big)
     return out[0], out[1]
@@ -385,7 +386,7 @@ def dense_lax_deform(ops, t_final, h=0.01, variant="real", max_halvings=3,
     two differ by RK4's O(h^4) error.
     """
     dtype = complex if variant == "complexified" else float
-    d0 = ops.d.astype(dtype)
+    d0 = np.tril(ops.dirac).astype(dtype)  # d sits below the diagonal of D = d + d^T
     ref_spectrum = ops.dirac_eigensystem[0]
     l0 = ops.laplacian.astype(float)
     step = h

@@ -274,7 +274,7 @@ def test_criterion_8_lefschetz(suite):
         if g.n > 6:
             continue  # keep the automorphism enumeration affordable
         ops = dg.operators_for(g)
-        chi = dg.graph_euler_characteristic(g)
+        chi = dg.euler_characteristic(dg.build_complex(g))
         ident = {v: v for v in g.vertices}
         checks.append((f"g{idx} identity L = chi",
                        dg.lefschetz(ops, ident).lefschetz == chi))

@@ -102,11 +102,24 @@ def test_face_closure():
                     assert s[:i] + s[i + 1 :] in stored
 
 
+def test_face_table_removes_each_vertex_in_turn():
+    rng = random.Random(13)
+    for g in [octahedron(), SimpleGraph.complete(5), SimpleGraph([4]), SimpleGraph([])] + [
+            erdos_renyi(7, 0.6, rng) for _ in range(3)]:
+        c = build_complex(g)
+        assert len(c.faces) == max(c.top_dim, 0)
+        for k, faces in enumerate(c.faces):
+            assert faces.shape == (c.count(k + 1), k + 2)
+            for y, row in zip(c.stratum(k + 1), faces.tolist()):
+                assert [c.stratum(k)[x] for x in row] == [
+                    tuple(v for v in y if v != y[i]) for i in range(len(y))]
+
+
 def test_global_index_is_dimension_major_lexicographic(example):
     c = build_complex(example)
     flat = list(c.simplices)
     assert flat == sorted(flat, key=lambda s: (len(s), s))
-    assert [c.index[s] for s in flat] == list(range(c.v))
+    assert [c.offsets[len(s) - 1] + c.local_index[len(s) - 1][s] for s in flat] == list(range(c.v))
     assert c.offsets == (0, 7, 16)
 
 

@@ -162,7 +162,7 @@ def test_wave_matches_schrodinger(example_ops):
     # psi = u0 - i D+ v0 evolved by e^{iDt} reproduces the wave solution
     eigs, vecs = ops.dirac_eigensystem
     inv = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=np.abs(eigs) > 1e-9)
-    s = ops.block_slice(k)
+    s = slice(ops.offsets[k], ops.offsets[k] + ops.complex.count(k))
     u_full = np.zeros(ops.v)
     v_full = np.zeros(ops.v)
     u_full[s] = u0.values
@@ -391,10 +391,10 @@ def test_lax_transports_cocycles(example_ops):
     # co-evolve f' = b f with the flow; d(t) f(t) stays zero
     ops = example_ops
     h = 0.01
-    d = ops.d.astype(float)
+    d = np.tril(ops.dirac).astype(float)  # d sits below the diagonal of D = d + d^T
     b = np.zeros_like(d)
     f = np.zeros(ops.v)
-    f[ops.block_slice(1)] = harmonic_basis(ops, 1)[0].values  # df = 0
+    f[ops.offsets[1] : ops.offsets[2]] = harmonic_basis(ops, 1)[0].values  # df = 0
 
     def rhs(d, b, f):
         return d @ b - b @ d, 2.0 * (d @ d.T - d.T @ d), b @ f

@@ -17,10 +17,11 @@ from diracgraph import (
     harmonic_basis,
     heat_kernel,
     hodge_decompose,
+    kernel_cut,
     operators_for,
-    spectral_summary,
     super_trace,
 )
+from diracgraph.hodge import nonzero
 from conftest import betti_exact, erdos_renyi, icosahedron, octahedron
 
 # the example's harmonic 1-form, translated from the printed edge order
@@ -215,12 +216,21 @@ def test_df_is_eigenvector(example_ops):
     assert abs(f @ df) < 1e-8  # f lives in one parity sector
 
 
-def test_spectral_summary_and_report(example_ops):
-    summary = spectral_summary(example_ops, 1)
-    assert summary.kernel_dim == 1
-    assert (summary.eigenvalues >= -1e-9).all()
+def test_betti_and_cohomology_report(example_ops):
+    assert betti(example_ops, 1) == 1
+    assert (example_ops.block_eigensystems[1][0] >= -1e-9).all()
     report = cohomology_report(example_ops)
     assert report["v"] == [7, 9, 2]
     assert report["betti"] == [1, 1, 0]
     assert report["chi"] == 0
     assert len(report["spectrumByDegree"]["1"]) == 9
+
+
+def test_zero_test_counts_the_cut_as_zero(example_ops):
+    eigs = np.array([-3e-9, 0.0, 2e-9, 3e-9, 2.0])
+    assert kernel_cut(eigs, 1e-9) == 2e-9
+    assert nonzero(eigs, 1e-9).tolist() == [True, False, False, True, True]
+    # tol = 1 puts the cut at the largest eigenvalue of each block, which
+    # then counts as zero: every cochain is harmonic
+    assert betti_numbers(example_ops, 1.0) == (7, 9, 2)
+    assert len(harmonic_basis(example_ops, 2, 1.0)) == 2

@@ -11,9 +11,10 @@ from diracgraph import (
     SimpleGraph,
     automorphisms,
     betti_numbers,
+    build_complex,
     compose,
     contract,
-    graph_euler_characteristic,
+    euler_characteristic,
     induced_cohomology_map,
     is_automorphism,
     lefschetz,
@@ -102,7 +103,7 @@ def test_lefschetz_rotation_on_c5():
 
 def test_lefschetz_identity_is_euler_characteristic(example, example_ops):
     rep = lefschetz(example_ops, {v: v for v in example.vertices})
-    assert rep.lefschetz == graph_euler_characteristic(example) == 0
+    assert rep.lefschetz == euler_characteristic(build_complex(example)) == 0
     assert len(rep.fixed_simplices) == example_ops.v
     assert trace_lefschetz(rep.traces) == sum(i for _, i in rep.fixed_simplices) == 0
 
