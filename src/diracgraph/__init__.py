@@ -41,13 +41,11 @@ from .errors import (
 )
 from .geometry import (
     ContractionResult,
-    MonteCarloEstimate,
     MorseData,
     contract,
     curvature,
     curvature_vector,
     dimension,
-    index_expectation,
     is_geometric,
     poincare_hopf,
     unit_sphere,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import os
 import sys
 from dataclasses import replace
 
@@ -47,13 +46,6 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DIRACGRAPH_SEED")
-    return int(env) if env else 0
-
-
 def _load(args):
     g = load_edge_list(args.input)
     c = build_complex(g, args.max_dim)
@@ -67,15 +59,15 @@ def _ops(args):
 
 def cmd_analyze(args):
     g, c, ops = _ops(args)
-    b = hodge.betti_numbers(ops, args.tol)
+    b = hodge.betti_numbers(ops)
     eigs = ops.dirac_eigensystem[0]
-    zero = ~hodge.nonzero(eigs, args.tol)
-    pdet = nonzero_product(eigs, args.tol)
-    pdet_l = nonzero_product(np.sort(np.concatenate([e for e, _ in ops.block_eigensystems])), args.tol)
+    zero = ~hodge.nonzero(eigs)
+    pdet = nonzero_product(eigs)
+    pdet_l = nonzero_product(np.sort(np.concatenate([e for e, _ in ops.block_eigensystems])))
     for name, value in (("Det(D)^2", pdet * pdet), ("Det(L)", pdet_l)):
         if not np.isfinite(value):
             raise OverflowError(f"{name} of this {c.v}-simplex complex overflows the float range")
-    torsion = analytic_torsion(ops, args.tol)
+    torsion = analytic_torsion(ops)
     # tr L = tr D^2 = 2 nnz(d): each (k+1)-simplex has k + 2 faces
     trace_l = 2 * sum((k + 1) * n for k, n in enumerate(c.counts) if k)
     report = {
@@ -90,7 +82,7 @@ def cmd_analyze(args):
         "invariants": [
             invariant_report("Det(D)^2 = Det(L)", pdet ** 2, pdet_l, 1e-6),
             invariant_report("zeta(-2) = tr(L)",
-                             float(dirac_zeta(ops, -2, args.tol).value.real),
+                             float(dirac_zeta(ops, -2).value.real),
                              float(trace_l), 1e-8),
             invariant_report("analytic torsion = 1", torsion, 1.0, 1e-8),
         ],
@@ -109,7 +101,7 @@ def cmd_analyze(args):
 
 def cmd_cohomology(args):
     _, _, ops = _ops(args)
-    report = hodge.cohomology_report(ops, args.tol)
+    report = hodge.cohomology_report(ops)
     lines = [
         f"v     : {report['v']}",
         f"betti : {report['betti']}",
@@ -141,13 +133,11 @@ def cmd_morse(args):
             raise argparse.ArgumentTypeError("--f expects comma-separated numbers")
         data = geometry.poincare_hopf(g, values)
     else:
-        if args.seed is None and not os.environ.get("DIRACGRAPH_SEED"):
-            raise argparse.ArgumentTypeError(
-                "morse needs --f values or a seed (--seed or DIRACGRAPH_SEED)"
-            )
+        if args.seed is None:
+            raise argparse.ArgumentTypeError("morse needs --f values or --seed")
         import random
 
-        rng = random.Random(_seed(args))
+        rng = random.Random(args.seed)
         order = list(g.vertices)
         rng.shuffle(order)
         data = geometry.poincare_hopf(g, {v: order.index(v) for v in g.vertices})
@@ -183,7 +173,7 @@ def cmd_zeta(args):
         raise argparse.ArgumentTypeError(f"cannot parse complex number {args.s!r}")
     if not cmath.isfinite(s):
         raise argparse.ArgumentTypeError("--s must be finite")
-    z = dirac_zeta(ops, s, args.tol)
+    z = dirac_zeta(ops, s)
     report = {"s": z.s, "value": z.value, "branch": z.branch}
     return report, f"zeta({s}) = {z.value}"
 
@@ -250,7 +240,7 @@ def cmd_lefschetz(args):
     entries = []
     zeta_product = 1.0 + 0j
     for t in maps:
-        rep = morphisms.lefschetz(ops, t, args.tol)
+        rep = morphisms.lefschetz(ops, t)
         entry = {
             "permutation": [t[v] for v in g.vertices],
             "lefschetz": rep.lefschetz,
@@ -320,45 +310,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *options, inputs=1):
-        """Positional inputs, --format and --out, plus the named shared options."""
+    def common(p, max_dim=False, inputs=1):
+        """Positional inputs, --format and --out, plus --max-dim for commands that build D."""
         p.add_argument("input", help="edge-list file")
         if inputs == 2:
             p.add_argument("second", help="second edge-list file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        if "tol" in options:
-            p.add_argument("--tol", type=float, default=hodge.KERNEL_TOL,
-                           help="kernel threshold for eigenvalue-zero decisions")
-        if "seed" in options:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (fallback: DIRACGRAPH_SEED)")
-        if "max_dim" in options:
+        if max_dim:
             p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
         return p
 
-    for name, options in (("analyze", ("tol", "max_dim")), ("cohomology", ("tol", "max_dim")),
-                          ("curvature", ()), ("spectrum", ("max_dim",)), ("magnitude", ()),
-                          ("trees", ("max_dim",)), ("dimension", ()), ("contract", ())):
-        common(sub.add_parser(name), *options)
-    p = common(sub.add_parser("morse"), "seed")
+    for name, max_dim in (("analyze", True), ("cohomology", True), ("curvature", False),
+                          ("spectrum", True), ("magnitude", False), ("trees", True),
+                          ("dimension", False), ("contract", False)):
+        common(sub.add_parser(name), max_dim)
+    p = common(sub.add_parser("morse"))
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.add_argument("--f", help="comma-separated injective vertex values")
-    p = common(sub.add_parser("zeta"), "tol", "max_dim")
+    p = common(sub.add_parser("zeta"), max_dim=True)
     p.add_argument("--s", required=True, help="complex argument, e.g. '2' or '1+0.5j'")
     common(sub.add_parser("distance"), inputs=2)
-    p = common(sub.add_parser("deform"), "max_dim")
+    p = common(sub.add_parser("deform"), max_dim=True)
     p.add_argument("--T", type=float, default=10.0, help="total deformation time")
     p.add_argument("--h", type=float, default=0.01, help="sampling interval: rows at t = 0, h, 2h, ...")
     p.add_argument("--variant", choices=("real", "complexified"), default="real")
     p.add_argument("--snapshot-every", type=int, default=0, dest="snapshot_every")
     p.add_argument("--snapshots", help="path for full-matrix JSON snapshots")
-    p = common(sub.add_parser("lefschetz"), "tol", "max_dim")
+    p = common(sub.add_parser("lefschetz"), max_dim=True)
     p.add_argument("--z", type=complex, default=None, help="evaluate zeta_T at this point")
     return parser
 
 
 def _validate(args):
-    for name in ("tol", "h", "T"):
+    for name in ("h", "T"):
         value = getattr(args, name, 1.0)
         if value <= 0:
             raise argparse.ArgumentTypeError(f"--{name} must be positive")

@@ -207,11 +207,15 @@ class CliqueComplex:
 
     host: SimpleGraph
     strata: tuple[tuple[Simplex, ...], ...]
-    offsets: tuple[int, ...]
 
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strata)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """The global index of the first simplex of each stratum."""
+        return tuple(accumulate(self.counts, initial=0))[:-1]
 
     @property
     def v(self) -> int:
@@ -277,8 +281,7 @@ def build_complex(g: SimpleGraph, max_dim: int | None = None) -> CliqueComplex:
             break
         nxt.sort(key=lambda s: tuple(pos[x] for x in s))
         strata.append(tuple(nxt))
-    offsets = tuple(accumulate((len(st) for st in strata), initial=0))[:-1]
-    return CliqueComplex(host=g, strata=tuple(strata), offsets=offsets)
+    return CliqueComplex(host=g, strata=tuple(strata))
 
 
 def euler_characteristic(c: CliqueComplex) -> int:

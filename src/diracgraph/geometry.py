@@ -10,7 +10,6 @@ Each simplex hands 1/|s| to each vertex: Gauss-Bonnet reindexes chi.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -36,11 +35,15 @@ def _star_counts(g: SimpleGraph) -> dict[int, list[int]]:
 
 
 def curvature(g: SimpleGraph, x: int) -> Fraction:
-    """Exact rational curvature of a vertex.
+    """Exact rational curvature of a vertex, which is its index expectation.
 
     The simplices that contain x are x joined to the cliques of its unit
     sphere, so K(x) = 1 + sum of (-1)^(k+1) n_k / (k+2) over the counts n_k
-    of the sphere's k-simplices.
+    of the sphere's k-simplices.  K(x) is also the average Poincare-Hopf
+    index E[i_f(x)] over injective vertex functions f: i_f(x) is the sum of
+    (-1)^dim s over the simplices s that contain x and have x as their
+    f-maximum, and x is the top vertex of s in exactly 1/|s| of all
+    orderings (Knill, arXiv:1202.4514).
     """
     counts = build_complex(unit_sphere(g, x)).counts
     return sum((Fraction((-1) ** (k + 1) * n, k + 2) for k, n in enumerate(counts)), Fraction(1))
@@ -88,51 +91,6 @@ def poincare_hopf(g: SimpleGraph, f: Mapping[int, float] | Sequence[float]) -> M
         indices[max(s, key=f.get)] += (-1) ** (len(s) - 1)
     critical = tuple(x for x in g.vertices if indices[x] != 0)
     return MorseData(f=dict(f), indices=indices, critical=critical)
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    mean: float
-    stderr: float
-    samples: int
-
-
-def index_expectation(
-    g: SimpleGraph,
-    x: int,
-    mode: str = "exact",
-    samples: int = 10000,
-    seed: int | None = None,
-):
-    """Average Poincare-Hopf index of x over injective vertex functions.
-
-    Exact mode returns the curvature K(x), which is that average: i_f(x) is
-    the sum of (-1)^dim s over the simplices s that contain x and have x as
-    their f-maximum, and x is the top vertex of s in exactly 1/|s| of all
-    orderings, so by linearity E[i_f(x)] = sum of (-1)^dim s / |s| = K(x)
-    (Knill, arXiv:1202.4514).  Monte Carlo mode samples random orderings
-    and reports mean and standard error.
-    """
-    if x not in g.position:
-        raise ValueError(f"unknown vertex {x}")
-    if mode == "exact":
-        return curvature(g, x)
-    if mode == "montecarlo":
-        if samples < 1:
-            raise ValueError(f"montecarlo mode needs at least one sample, got {samples}")
-        star = [s for s in build_complex(g).simplices if x in s]
-        rng = random.Random(seed)
-        verts = list(g.vertices)
-        values = []
-        for _ in range(samples):
-            order = verts[:]
-            rng.shuffle(order)
-            rank = {v: i for i, v in enumerate(order)}
-            values.append(sum((-1) ** (len(s) - 1) for s in star if max(map(rank.get, s)) == rank[x]))
-        mean = sum(values) / samples
-        var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
-        return MonteCarloEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def dimension(g: SimpleGraph) -> Fraction:

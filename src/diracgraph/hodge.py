@@ -1,11 +1,12 @@
 """Hodge theory: Betti numbers, harmonic forms, super traces, heat kernel.
 
 Betti numbers are integer claims made from floating-point eigenvalues, so
-the kernel threshold is explicit everywhere: nonzero is the package's one
-zero test, and an eigenvalue counts as zero when
-|lambda| <= tol * max(1, max |lambda|).  The default tol of 1e-9 keeps a
-wide margin at desk scale, where the smallest nonzero eigenvalue of an
-integer Laplacian stays far above it.
+the kernel cut is one constant: nonzero is the package's one zero test,
+and an eigenvalue counts as zero when
+|lambda| <= KERNEL_TOL * max(1, max |lambda|), with KERNEL_TOL = 1e-9.
+That keeps a wide margin at desk scale, where the smallest nonzero
+eigenvalue of an integer Laplacian stays far above it; no caller can move
+the cut.
 """
 
 from __future__ import annotations
@@ -40,39 +41,39 @@ class HodgeDecomposition:
     harmonic: Cochain
 
 
-def kernel_cut(eigs: np.ndarray, tol: float = KERNEL_TOL) -> float:
+def kernel_cut(eigs: np.ndarray) -> float:
     scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-    return tol * scale
+    return KERNEL_TOL * scale
 
 
-def nonzero(eigs: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
-    """The mask of the eigenvalues that count as nonzero: |lambda| > kernel_cut(eigs, tol).
+def nonzero(eigs: np.ndarray) -> np.ndarray:
+    """The mask of the eigenvalues that count as nonzero: |lambda| > kernel_cut(eigs).
 
     This is the package's one zero test; an eigenvalue at the cut is zero.
     """
-    return np.abs(eigs) > kernel_cut(eigs, tol)
+    return np.abs(eigs) > kernel_cut(eigs)
 
 
-def betti(ops: Operators, k: int, tol: float = KERNEL_TOL) -> int:
+def betti(ops: Operators, k: int) -> int:
     """dim ker(L_k); zero for degrees beyond the top dimension."""
     if not 0 <= k < len(ops.complex.strata):
         return 0
-    return int(np.sum(~nonzero(ops.block_eigensystems[k][0], tol)))
+    return int(np.sum(~nonzero(ops.block_eigensystems[k][0])))
 
 
-def betti_numbers(ops: Operators, tol: float = KERNEL_TOL) -> tuple[int, ...]:
-    return tuple(betti(ops, k, tol) for k in range(len(ops.complex.strata)))
+def betti_numbers(ops: Operators) -> tuple[int, ...]:
+    return tuple(betti(ops, k) for k in range(len(ops.complex.strata)))
 
 
-def harmonic_basis(ops: Operators, k: int, tol: float = KERNEL_TOL) -> list[Cochain]:
+def harmonic_basis(ops: Operators, k: int) -> list[Cochain]:
     """Orthonormal basis of ker(L_k), each vector killed by both d and d*."""
     if not 0 <= k < len(ops.complex.strata):
         return []
     eigs, vecs = ops.block_eigensystems[k]
-    return [Cochain(k, vecs[:, i].copy()) for i in np.flatnonzero(~nonzero(eigs, tol))]
+    return [Cochain(k, vecs[:, i].copy()) for i in np.flatnonzero(~nonzero(eigs))]
 
 
-def hodge_decompose(ops: Operators, f: Cochain, tol: float = KERNEL_TOL) -> HodgeDecomposition:
+def hodge_decompose(ops: Operators, f: Cochain) -> HodgeDecomposition:
     """Split f into exact + coexact + harmonic, pairwise orthogonal.
 
     The harmonic part is the kernel projection; the exact part is the
@@ -82,7 +83,7 @@ def hodge_decompose(ops: Operators, f: Cochain, tol: float = KERNEL_TOL) -> Hodg
     k = f.degree
     values = np.asarray(f.values, dtype=float)
     eigs, vecs = ops.block_eigensystems[k]
-    kernel = vecs[:, ~nonzero(eigs, tol)]
+    kernel = vecs[:, ~nonzero(eigs)]
     harmonic = kernel @ (kernel.T @ values)
     rest = values - harmonic
     if k >= 1:
@@ -120,16 +121,16 @@ def heat_kernel(ops: Operators, t: float) -> np.ndarray:
     return place(ops.offsets, ops.v, blocks, float)
 
 
-def euler_poincare_check(ops: Operators, tol: float = KERNEL_TOL) -> dict[str, int]:
+def euler_poincare_check(ops: Operators) -> dict[str, int]:
     """v(-1) and p(-1); the Euler-Poincare formula makes them equal."""
     chi_comb = euler_characteristic(ops.complex)
-    chi_coh = sum((-1) ** k * b for k, b in enumerate(betti_numbers(ops, tol)))
+    chi_coh = sum((-1) ** k * b for k, b in enumerate(betti_numbers(ops)))
     return {"chiCombinatorial": chi_comb, "chiCohomological": chi_coh}
 
 
-def cohomology_report(ops: Operators, tol: float = KERNEL_TOL) -> dict:
+def cohomology_report(ops: Operators) -> dict:
     """JSON-ready summary: counts, Betti numbers, chi, spectra by degree."""
-    b = betti_numbers(ops, tol)
+    b = betti_numbers(ops)
     return {
         "v": list(ops.complex.counts),
         "betti": list(b),

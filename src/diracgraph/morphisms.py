@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexes import CliqueComplex, SimpleGraph, Simplex
 from .errors import CapacityError, ConsistencyError
-from .hodge import KERNEL_TOL, harmonic_basis
+from .hodge import harmonic_basis
 from .operators import Operators
 
 AUTOMORPHISM_CAP = 10
@@ -105,16 +105,14 @@ def pullback_matrix(ops: Operators, t: GraphMap, k: int) -> np.ndarray:
     return m
 
 
-def induced_cohomology_map(
-    ops: Operators, t: GraphMap, k: int, tol: float = KERNEL_TOL
-) -> np.ndarray:
+def induced_cohomology_map(ops: Operators, t: GraphMap, k: int) -> np.ndarray:
     """The b_k x b_k matrix of T* on harmonic representatives.
 
     The pullback of an automorphism commutes with d and preserves the
     harmonic space, so projecting pulled-back basis vectors onto that
     space loses nothing.
     """
-    basis = harmonic_basis(ops, k, tol)
+    basis = harmonic_basis(ops, k)
     if not basis:
         return np.zeros((0, 0))
     h = np.column_stack([b.values for b in basis])
@@ -145,7 +143,7 @@ def _cycles(c: CliqueComplex, t: GraphMap) -> list[tuple[Simplex, int, int]]:
     return cycles
 
 
-def lefschetz(ops: Operators, t: GraphMap, tol: float = KERNEL_TOL) -> LefschetzReport:
+def lefschetz(ops: Operators, t: GraphMap) -> LefschetzReport:
     """Lefschetz number as the exact sum of fixed-simplex indices.
 
     The fixed simplices are the cycles of length 1; the index of one is
@@ -159,7 +157,7 @@ def lefschetz(ops: Operators, t: GraphMap, tol: float = KERNEL_TOL) -> Lefschetz
                   for x, length, sign in _cycles(c, t) if length == 1)
     number = sum(i for _, i in fixed)
     traces = tuple(
-        float(np.trace(induced_cohomology_map(ops, t, k, tol))) for k in range(len(c.strata))
+        float(np.trace(induced_cohomology_map(ops, t, k))) for k in range(len(c.strata))
     )
     gap = abs(sum((-1) ** k * tr for k, tr in enumerate(traces)) - number)
     if gap > 0.5:

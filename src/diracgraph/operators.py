@@ -68,7 +68,7 @@ class Operators:
     Attributes
     ----------
     dblocks    : the signed incidence matrices d_0, d_1, ...
-    parity     : +-1 vector, +1 on even-dimensional simplices
+    parity     : (lazy) +-1 vector, +1 on even-dimensional simplices
     lap_blocks : (lazy) the diagonal blocks L_k = d_{k-1} d_{k-1}^T + d_k^T d_k
     dirac      : (lazy) D = d + d^T, d holding d_k at (k+1, k)
     laplacian  : (lazy) L = D^2, block diagonal with blocks lap_blocks
@@ -76,11 +76,14 @@ class Operators:
 
     complex: CliqueComplex
     dblocks: tuple[np.ndarray, ...]
-    parity: np.ndarray
 
     @property
     def v(self) -> int:
         return self.complex.v
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        return parity_vector(self.complex)
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -133,7 +136,7 @@ def build_operators(
         # the float64 product is exact, as in Operators.lap_blocks
         if (dblocks[k + 1].astype(float) @ dblocks[k].astype(float)).any():
             raise ConsistencyError(f"d_{k + 1} d_{k} != 0 (d^2 != 0)")
-    return Operators(complex=c, dblocks=dblocks, parity=parity_vector(c))
+    return Operators(complex=c, dblocks=dblocks)
 
 
 def operators_for(g: SimpleGraph, orientation=None, max_dim=None) -> Operators:

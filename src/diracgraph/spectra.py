@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexes import CliqueComplex, SimpleGraph, build_complex, simplex_graph
 from .errors import ComputationError, GraphMismatchError
-from .hodge import KERNEL_TOL, nonzero
+from .hodge import nonzero
 from .operators import Operators, build_operators
 
 
@@ -67,18 +67,18 @@ def dirac_charpoly(ops: Operators) -> list[int]:
     return coeffs.tolist()
 
 
-def pseudo_det(m: np.ndarray, tol: float = KERNEL_TOL) -> float:
+def pseudo_det(m: np.ndarray) -> float:
     """Product of the nonzero eigenvalues of a symmetric matrix (empty = 1, overflow = inf)."""
     m = np.asarray(m, dtype=float)
     if not np.allclose(m, m.T):
         raise ValueError("pseudo_det expects a symmetric matrix")
-    return nonzero_product(np.linalg.eigvalsh(m), tol)
+    return nonzero_product(np.linalg.eigvalsh(m))
 
 
-def nonzero_product(eigs: np.ndarray, tol: float = KERNEL_TOL) -> float:
+def nonzero_product(eigs: np.ndarray) -> float:
     """Product of the nonzero eigenvalues (none = 1, overflow = inf)."""
     with np.errstate(over="ignore"):  # a product beyond double range is inf
-        return float(np.prod(eigs[nonzero(eigs, tol)]))
+        return float(np.prod(eigs[nonzero(eigs)]))
 
 
 # two primes below 2**31: every product of two residues fits in int64
@@ -191,13 +191,13 @@ class ZetaEvaluation:
     branch: str = "negative-axis phase e^(-i pi s)"
 
 
-def _zeta(eigs: np.ndarray, s: complex, tol: float) -> complex:
+def _zeta(eigs: np.ndarray, s: complex) -> complex:
     """Sum of lambda^(-s) over the nonzero eigenvalues, negative ones by the branch above.
 
     Raises ComputationError when the sum is not finite in double precision,
     as for large Re s when some |lambda| < 1.
     """
-    eigs = eigs[nonzero(eigs, tol)]
+    eigs = eigs[nonzero(eigs)]
     pos = eigs[eigs > 0]
     neg = -eigs[eigs < 0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,23 +209,23 @@ def _zeta(eigs: np.ndarray, s: complex, tol: float) -> complex:
     return value
 
 
-def dirac_zeta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> ZetaEvaluation:
+def dirac_zeta(ops: Operators, s: complex) -> ZetaEvaluation:
     """Dirac zeta function: sum over nonzero eigenvalues of lambda^(-s).
 
     Takes an Operators and reads D's spectrum from its dirac_eigensystem.
     """
     s = complex(s)
-    return ZetaEvaluation(s=s, value=_zeta(ops.dirac_eigensystem[0], s, tol))
+    return ZetaEvaluation(s=s, value=_zeta(ops.dirac_eigensystem[0], s))
 
 
-def zeta_derivative_at_zero(ops: Operators, tol: float = KERNEL_TOL) -> complex:
+def zeta_derivative_at_zero(ops: Operators) -> complex:
     """zeta'(0) = -sum log|lambda| - i pi #{lambda < 0}, over the nonzero Dirac eigenvalues."""
     eigs = ops.dirac_eigensystem[0]
-    eigs = eigs[nonzero(eigs, tol)]
+    eigs = eigs[nonzero(eigs)]
     return complex(-fsum(np.log(np.abs(eigs))), -np.pi * int(np.sum(eigs < 0)))
 
 
-def eta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> complex:
+def eta(ops: Operators, s: complex) -> complex:
     """Alternating sum over degrees of the block zeta functions.
 
     McKean-Singer pairing of the nonzero block spectra makes this vanish
@@ -233,22 +233,14 @@ def eta(ops: Operators, s: complex, tol: float = KERNEL_TOL) -> complex:
     """
     total = 0j
     for p in range(len(ops.complex.strata)):
-        total += (-1) ** p * _zeta(ops.block_eigensystems[p][0], complex(s), tol)
+        total += (-1) ** p * _zeta(ops.block_eigensystems[p][0], complex(s))
     return total
 
 
-def analytic_torsion(ops: Operators, tol: float = KERNEL_TOL) -> float:
+def analytic_torsion(ops: Operators) -> float:
     """Ratio of even-degree to odd-degree nonzero eigenvalue products (= 1)."""
-    log_even = 0.0
-    log_odd = 0.0
-    for p in range(len(ops.complex.strata)):
-        eigs = ops.block_eigensystems[p][0]
-        s = fsum(log(x) for x in eigs[nonzero(eigs, tol)])
-        if p % 2 == 0:
-            log_even += s
-        else:
-            log_odd += s
-    return exp(log_even - log_odd)
+    logs = [fsum(log(x) for x in eigs[nonzero(eigs)]) for eigs, _ in ops.block_eigensystems]
+    return exp(sum(logs[::2]) - sum(logs[1::2]))
 
 
 @dataclass(frozen=True)

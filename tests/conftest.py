@@ -49,8 +49,8 @@ def corrupted_trace(monkeypatch):
     """Add 1 to the degree-1 trace of every induced cohomology map."""
     honest = morphisms.induced_cohomology_map
 
-    def off_by_one(ops, t, k, tol):
-        m = honest(ops, t, k, tol)
+    def off_by_one(ops, t, k):
+        m = honest(ops, t, k)
         return m + np.eye(len(m)) if k == 1 else m
 
     monkeypatch.setattr(morphisms, "induced_cohomology_map", off_by_one)

@@ -1,7 +1,9 @@
 """Command-line interface: reports, exit codes, reproducibility."""
 
+import argparse
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,14 +71,6 @@ def test_identical_runs_are_byte_identical(example_file, capsys):
     assert first == second
 
 
-def test_seed_env_fallback(example_file, capsys, monkeypatch):
-    monkeypatch.setenv("DIRACGRAPH_SEED", "7")
-    _, env_out, _ = run(capsys, "morse", example_file, "--format", "json")
-    monkeypatch.delenv("DIRACGRAPH_SEED")
-    _, flag_out, _ = run(capsys, "morse", example_file, "--seed", "7", "--format", "json")
-    assert env_out == flag_out
-
-
 def test_curvature_command(c4_file, capsys):
     code, out, _ = run(capsys, "curvature", c4_file, "--format", "json")
     assert code == 0
@@ -85,8 +79,7 @@ def test_curvature_command(c4_file, capsys):
     assert report["sum"] == "0/1"
 
 
-def test_morse_requires_function_or_seed(example_file, capsys, monkeypatch):
-    monkeypatch.delenv("DIRACGRAPH_SEED", raising=False)
+def test_morse_requires_function_or_seed(example_file, capsys):
     code, _, err = run(capsys, "morse", example_file)
     assert code == 1
     assert "--f" in err
@@ -341,8 +334,8 @@ def test_exit_code_internal_error(example_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("options", [
-    ["cohomology", "--tol", "nan"],
-    ["cohomology", "--tol", "inf"],
+    ["deform", "--T", "-1"],
+    ["deform", "--h", "0"],
     ["deform", "--T", "inf"],
     ["deform", "--h", "nan"],
     ["deform", "--T", "0.02", "--snapshot-every", "-1", "--snapshots", "{tmp}/snaps.json"],
@@ -366,12 +359,45 @@ def test_non_finite_or_negative_options_exit_usage(tmp_path, capsys, options):
     ["morse", "--f", "1,2,3", "--tol", "1e-6"],
     ["analyze", "--seed", "3"],
     ["lefschetz", "--order", "40"],
+    ["cohomology", "--tol", "1e-6"],
 ])
 def test_options_a_command_does_not_read_are_rejected(example_file, capsys, options):
     inputs = [example_file] * (2 if options[0] == "distance" else 1)
     code, out, err = run(capsys, options[0], *inputs, *options[1:])
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: {options[-2]}" in err
+
+
+# each command's own options, besides --format, --out and the positional inputs
+COMMAND_OPTIONS = {
+    "analyze": {"--max-dim"}, "cohomology": {"--max-dim"}, "curvature": set(),
+    "morse": {"--f", "--seed"}, "spectrum": {"--max-dim"}, "zeta": {"--max-dim", "--s"},
+    "distance": set(), "magnitude": set(), "trees": {"--max-dim"},
+    "deform": {"--max-dim", "--T", "--h", "--variant", "--snapshot-every", "--snapshots"},
+    "lefschetz": {"--max-dim", "--z"}, "dimension": set(), "contract": set(),
+}
+
+
+def test_each_command_offers_exactly_its_options():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert offered == {name: own | {"--format", "--out"} for name, own in COMMAND_OPTIONS.items()}
+    assert sum(map(len, offered.values())) == 42
+
+
+def test_readme_lists_the_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n### ")[0]
+    for option in set().union(*COMMAND_OPTIONS.values()) | {"--format", "--out"}:
+        assert f"`{option}" in section, option
+    assert "--tol" not in readme and "DIRACGRAPH_SEED" not in readme
+
+
+def test_src_reads_no_environment_variable():
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert not any(word in text for word in ("environ", "getenv", "DIRACGRAPH_SEED")), path.name
 
 
 def test_corrupted_lefschetz_trace_exits_internal(tmp_path, capsys, corrupted_trace):

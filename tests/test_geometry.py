@@ -1,4 +1,4 @@
-"""Curvature, Morse indices, index expectation, dimension, homotopy."""
+"""Curvature (the index expectation), Morse indices, dimension, homotopy."""
 
 import random
 from fractions import Fraction
@@ -15,12 +15,12 @@ from diracgraph import (
     dimension,
     euler_characteristic,
     example_graph,
-    index_expectation,
     is_geometric,
     operators_for,
     poincare_hopf,
     unit_sphere,
 )
+import diracgraph
 from diracgraph import geometry
 from conftest import (
     erdos_renyi,
@@ -78,9 +78,9 @@ def test_vertex_curvature_reads_the_unit_sphere(monkeypatch):
     for g, ks in zip(graphs, expected):
         for x in g.vertices:
             built.clear()
-            assert curvature(g, x) == ks[x] == index_expectation(g, x)
+            assert curvature(g, x) == ks[x]
             # one complex per call, on the neighbours of x only
-            assert built == [g.degree(x)] * 2
+            assert built == [g.degree(x)]
 
 
 def test_gauss_bonnet_random_suite():
@@ -146,34 +146,26 @@ def test_poincare_hopf_rejects_infinite_values(value):
 def test_index_expectation_exact_is_curvature(example):
     oracle = index_expectation_brute(example, 1)
     assert oracle == Fraction(1, 3) == curvature(example, 1)
-    assert index_expectation(example, 1, mode="exact") == oracle
 
 
 def test_index_expectation_small_graphs():
     single = SimpleGraph([1], [])
-    assert index_expectation(single, 1) == 1
+    assert curvature(single, 1) == 1 == index_expectation_brute(single, 1)
     c4 = SimpleGraph.cycle(4)
     for x in c4.vertices:
-        assert index_expectation(c4, x) == 0 == curvature(c4, x)
+        assert curvature(c4, x) == 0 == index_expectation_brute(c4, x)
+
+
+def test_curvature_is_the_one_index_expectation():
+    for name in ("index_expectation", "MonteCarloEstimate"):
+        assert not hasattr(diracgraph, name) and not hasattr(geometry, name)
 
 
 def test_index_expectation_exact_has_no_vertex_cap():
     # every ordering's indices sum to chi, so the expectations do too
     g = erdos_renyi(30, 0.25, random.Random(1))
-    total = sum(index_expectation(g, x, mode="exact") for x in g.vertices)
+    total = sum(curvature(g, x) for x in g.vertices)
     assert total == graph_chi(g)
-
-
-def test_index_expectation_montecarlo():
-    g = SimpleGraph.cycle(5)
-    est = index_expectation(g, 1, mode="montecarlo", samples=4000, seed=11)
-    assert abs(est.mean - 0) <= 5 * est.stderr + 1e-12
-    # pinned: the same random orderings give the same estimate bit for bit
-    assert (est.mean, est.stderr, est.samples) == (0.0035, 0.012856448170661018, 4000)
-    est2 = index_expectation(g, 1, mode="montecarlo", samples=4000, seed=11)
-    assert est.mean == est2.mean  # deterministic for a fixed seed
-    with pytest.raises(ValueError):
-        index_expectation(g, 1, mode="montecarlo", samples=0)
 
 
 def test_dimension_values():

@@ -23,8 +23,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import pytest
-
 from diracgraph import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -79,11 +77,6 @@ def manifest() -> dict[str, str]:
     """File name -> sha256 from golden/SHA256SUMS."""
     pairs = (line.split("  ", 1) for line in MANIFEST.read_text().splitlines())
     return {name.removeprefix("out/"): sha for sha, name in pairs}
-
-
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("DIRACGRAPH_SEED", raising=False)
 
 
 def test_manifest_lists_every_output_file():

@@ -1,11 +1,16 @@
 """Betti numbers, harmonic forms, super traces, heat kernel."""
 
+import inspect
+import pkgutil
 import random
+from importlib import import_module
 
 import numpy as np
 import pytest
 
+import diracgraph
 from diracgraph import (
+    KERNEL_TOL,
     Cochain,
     SimpleGraph,
     betti,
@@ -226,11 +231,25 @@ def test_betti_and_cohomology_report(example_ops):
     assert len(report["spectrumByDegree"]["1"]) == 9
 
 
-def test_zero_test_counts_the_cut_as_zero(example_ops):
+def test_zero_test_counts_the_cut_as_zero():
     eigs = np.array([-3e-9, 0.0, 2e-9, 3e-9, 2.0])
-    assert kernel_cut(eigs, 1e-9) == 2e-9
-    assert nonzero(eigs, 1e-9).tolist() == [True, False, False, True, True]
-    # tol = 1 puts the cut at the largest eigenvalue of each block, which
-    # then counts as zero: every cochain is harmonic
-    assert betti_numbers(example_ops, 1.0) == (7, 9, 2)
-    assert len(harmonic_basis(example_ops, 2, 1.0)) == 2
+    assert kernel_cut(eigs) == 2e-9
+    assert nonzero(eigs).tolist() == [True, False, False, True, True]
+    assert kernel_cut(2 * eigs) == KERNEL_TOL * 4
+
+
+def test_no_function_takes_a_kernel_cut():
+    """The cut is the constant KERNEL_TOL: no function or method has a tol parameter."""
+    checked = 0
+    for info in pkgutil.iter_modules(diracgraph.__path__):
+        module = import_module(f"diracgraph.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for f in members:
+                f = getattr(f, "func", getattr(f, "fget", f))  # cached_property, property
+                if inspect.isfunction(f):
+                    checked += 1
+                    assert "tol" not in inspect.signature(f).parameters, f.__qualname__
+    assert checked > 100
