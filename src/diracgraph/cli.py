@@ -125,6 +125,8 @@ def cmd_curvature(args):
 
 
 def cmd_morse(args):
+    if args.f is not None and args.seed is not None:
+        raise argparse.ArgumentTypeError("morse takes --f or --seed, not both")
     g = load_edge_list(args.input)
     if args.f:
         try:
@@ -303,8 +305,22 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that accepts each option only spelled in full and
+    reports a usage error as one stderr line, like every other error.
+
+    add_subparsers makes the subparsers of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracgraph",
         description="Dirac operator toolchain for the clique complex of a graph",
     )

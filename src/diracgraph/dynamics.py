@@ -32,6 +32,9 @@ nilpotency_error and laplacian_error on the residuals of the matrices it
 rebuilds) is a few constants, read once per run from the factors and the
 blocks d_k, scaled by the sample's a(t) and beta(t).  A sample costs
 O(sum r_k^2), and a run factors nothing but the blocks (see _Eigenframe).
+The samples are evaluated as array operations over a leading time axis,
+in chunks of about _CHUNK array elements, so a run's transient memory
+does not grow with its length.
 The dense d(t), b(t) and D(t) are built only when a state's d, b or dirac
 is read.
 """
@@ -46,6 +49,11 @@ import numpy as np
 from .errors import ConsistencyError, UnsolvableError
 from .hodge import Cochain, nonzero
 from .operators import Operators, place
+
+# lax_deform evaluates samples in chunks of about this many array elements
+# (samples times triples), so a run's transient memory does not grow with
+# its length; 2**16 raised the lax-deform benchmark's peak RSS by 1.2 MB
+_CHUNK = 2**14
 
 
 def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray) -> Cochain:
@@ -131,12 +139,14 @@ class LaxFactors:
     triples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     complexified: bool
 
-    def coefficients(self, t: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    def coefficients(self, t: float | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(a, beta) of each block at time t: a = s sech 2st, times the phase
-        exp(i log cosh 2st) if complexified, and beta = s tanh 2st."""
+        exp(i log cosh 2st) if complexified, and beta = s tanh 2st.
+
+        For a 1-D array of n times, a and beta are n x r_k, one row per time."""
         out = []
         for u, s, w in self.triples:
-            x = 2.0 * s * t
+            x = 2.0 * np.multiply.outer(t, s)
             decay = np.exp(-x)  # sech and log cosh in forms that cannot overflow
             a = s * 2.0 * decay / (1.0 + decay * decay)
             if self.complexified:
@@ -237,31 +247,41 @@ class _Eigenframe:
     residual: float  # rho0, or inf
     gamma: float
 
-    def rounding(self, coefficients) -> tuple[list[float], float]:
-        """The bounds e_k on ||Delta d_k||_F and the bound on ||Delta D||_F."""
+    def rounding(self, coefficients) -> tuple[list[np.ndarray], np.ndarray]:
+        """The bounds e_k on ||Delta d_k||_F and the bound on ||Delta D||_F,
+        one per row of the coefficients."""
         scale = self.gamma * (1.0 + self.delta)
-        e = [2**0.5 * scale * float(np.sum(np.abs(a))) for a, _ in coefficients]
-        beta = sum(float(np.sum(np.abs(b))) for _, b in coefficients)
+        e = [2**0.5 * scale * np.sum(np.abs(a), axis=-1) for a, _ in coefficients]
+        beta = sum(np.sum(np.abs(b), axis=-1) for _, b in coefficients)
         return e, 2**0.5 * sum(e) + 2.0 * scale * beta
 
-    def diagnostics(self, coefficients) -> tuple[float, float, float, float]:
+    def diagnostics(self, coefficients) -> tuple[np.ndarray, ...]:
         """tr_m and the bounds on the spectral drift, the nilpotency and the
-        Laplacian drift of the blocks that LaxFactors builds from coefficients."""
+        Laplacian drift of the blocks that LaxFactors builds from coefficients.
+
+        Each reduces the last axis, so coefficients at one time give scalars
+        and coefficients at n times give n values; with no triples at all
+        every diagnostic is a scalar, the same at every time.  A time's values
+        do not depend on the times evaluated with it: the quadratic forms take
+        one dot or matrix-vector product per time (vecdot, matvec, vecmat),
+        and squares and square roots of per-time values are products and
+        np.sqrt, because a matrix product over all n, and ** on a 0-d value,
+        round differently."""
         grow, rho = 1.0 + self.delta, self.residual
         mags = [np.abs(a) for a, _ in coefficients]
-        s = np.concatenate([np.zeros(0)] + [np.hypot(b, m) for (_, b), m in zip(coefficients, mags)])
-        top, top0 = (float(np.max(x, initial=0.0)) for x in (s, self.singular))
+        s = np.concatenate([np.hypot(b, m) for (_, b), m in zip(coefficients, mags)] or [np.zeros(0)], axis=-1)
+        top, top0 = np.max(s, axis=-1, initial=0.0), float(np.max(self.singular, initial=0.0))
         e, rounding = self.rounding(coefficients)
-        tr_m = 2.0 * sum(float(np.vdot(a, h @ a).real) for (a, _), h in zip(coefficients, self.grams))
-        spectrum = (rho + self.delta * (top0 + top) + float(np.max(np.abs(s - self.singular), initial=0.0))
+        tr_m = 2.0 * sum(np.vecdot(a, np.matvec(h, a)).real for (a, _), h in zip(coefficients, self.grams))
+        spectrum = (rho + self.delta * (top0 + top) + np.max(np.abs(s - self.singular), axis=-1, initial=0.0)
                     + rounding)
-        n = [grow * float(np.max(m, initial=0.0)) for m in mags]  # >= ||d_k(t)||
+        n = [grow * np.max(m, axis=-1, initial=0.0) for m in mags]  # >= ||d_k(t)||
         nilpotency = 0.0
         for k, c in enumerate(self.couplings):
-            exact = grow * float(mags[k + 1] ** 2 @ c @ mags[k] ** 2) ** 0.5
-            nilpotency = max(nilpotency, exact + e[k + 1] * n[k] + n[k + 1] * e[k] + e[k + 1] * e[k])
-        laplacian = (grow * (float(np.max(np.abs(s * s - self.singular**2), initial=0.0))
-                             + self.delta * (top**2 + top0**2))
+            exact = grow * np.sqrt(np.vecdot(np.vecmat(mags[k + 1] ** 2, c), mags[k] ** 2))
+            nilpotency = np.maximum(nilpotency, exact + e[k + 1] * n[k] + n[k + 1] * e[k] + e[k + 1] * e[k])
+        laplacian = (grow * (np.max(np.abs(s * s - self.singular**2), axis=-1, initial=0.0)
+                             + self.delta * (top * top + top0 * top0))
                      + (2.0 * grow * top0 + rho) * rho + (2.0 * grow * top + rounding) * rounding)
         return tr_m, spectrum, nilpotency, laplacian
 
@@ -315,6 +335,8 @@ def lax_deform(
     laplacian_error on max |D(t)^2 - L|.  They scale constants read once
     per run from the factors and the blocks d_k (see _Eigenframe), so the
     run factors nothing but the blocks and a sample forms no matrix.
+    The times are evaluated in chunks of _CHUNK // R samples for R triples,
+    and each state's diagnostics are bit for bit those of its t alone.
     Nilpotency or spectral drift beyond its bound is a bug and raises
     ConsistencyError.
     """
@@ -324,15 +346,20 @@ def lax_deform(
         raise ValueError(f"unknown variant {variant!r}")
     factors = _lax_factors(ops, variant == "complexified")
     frame = _eigenframe(factors, ops)
+    times = np.arange(int(round(t_final / h)) + 1) * h  # = i * h, bit for bit
+    size = max(1, _CHUNK // max(1, frame.singular.size))
     states = []
-    for i in range(int(round(t_final / h)) + 1):
-        state = DeformationState(i * h, factors, *frame.diagnostics(factors.coefficients(i * h)))
-        if state.nilpotency_error > nilpotency_bound or state.spectrum_error > spectrum_bound:
-            raise ConsistencyError(
-                f"Lax state at t = {state.t:g} breaches its bounds: nilpotency"
-                f" {state.nilpotency_error:.3e}, spectral drift {state.spectrum_error:.3e}"
-            )
-        states.append(state)
+    for chunk in (times[lo:lo + size] for lo in range(0, times.size, size)):
+        columns = [np.broadcast_to(x, chunk.shape).tolist()
+                   for x in frame.diagnostics(factors.coefficients(chunk))]
+        for t, *diagnostics in zip(chunk.tolist(), *columns):
+            state = DeformationState(t, factors, *diagnostics)
+            if state.nilpotency_error > nilpotency_bound or state.spectrum_error > spectrum_bound:
+                raise ConsistencyError(
+                    f"Lax state at t = {state.t:g} breaches its bounds: nilpotency"
+                    f" {state.nilpotency_error:.3e}, spectral drift {state.spectrum_error:.3e}"
+                )
+            states.append(state)
     return states
 
 

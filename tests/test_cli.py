@@ -85,6 +85,12 @@ def test_morse_requires_function_or_seed(example_file, capsys):
     assert "--f" in err
 
 
+def test_morse_rejects_both_function_and_seed(example_file, capsys):
+    code, out, err = run(capsys, "morse", example_file, "--f", "1,2,3,4,5,6,7", "--seed", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: morse takes --f or --seed, not both\n"
+
+
 def test_morse_explicit_function(example_file, capsys):
     code, out, _ = run(capsys, "morse", example_file, "--f", "1,2,3,4,5,6,7",
                        "--format", "json")
@@ -366,6 +372,16 @@ def test_options_a_command_does_not_read_are_rejected(example_file, capsys, opti
     code, out, err = run(capsys, options[0], *inputs, *options[1:])
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: {options[-2]}" in err
+
+
+@pytest.mark.parametrize("options", [
+    ["cohomology", "--form", "json"],  # --format
+    ["zeta", "--s", "2", "--max", "1"],  # --max-dim
+])
+def test_abbreviated_options_are_rejected(example_file, capsys, options):
+    code, out, err = run(capsys, options[0], example_file, *options[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {' '.join(options[-2:])}\n"
 
 
 # each command's own options, besides --format, --out and the positional inputs

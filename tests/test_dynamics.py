@@ -1,5 +1,8 @@
 """Heat, wave, Schroedinger flows and the Lax isospectral deformation."""
 
+import random
+import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +26,7 @@ from diracgraph import (
 )
 from diracgraph import dynamics
 
-from conftest import dense_lax_deform, exact_lax_blocks, exact_product, octahedron
+from conftest import dense_lax_deform, erdos_renyi, exact_lax_blocks, exact_product, octahedron
 
 
 def _random_cochain(ops, k, seed=0, complex_valued=False):
@@ -243,6 +246,67 @@ def test_consistency_error_on_corrupt_factors(example_ops, monkeypatch, corrupt)
     monkeypatch.setattr(dynamics, "_lax_factors", corrupted)
     with pytest.raises(ConsistencyError, match="breaches its bounds"):
         lax_deform(example_ops, 1.0, 0.1)
+
+
+def _samples_per_chunk(ops):
+    """How many samples lax_deform evaluates together on ops."""
+    frame = dynamics._eigenframe(dynamics._lax_factors(ops, False), ops)
+    return dynamics._CHUNK // frame.singular.size
+
+
+@pytest.mark.parametrize("variant", ["real", "complexified"])
+def test_chunked_samples_equal_single_samples(example_ops, variant):
+    # lax_deform evaluates its times in chunks; every state must carry, bit
+    # for bit, the diagnostics of its own t evaluated alone.  At h = 0.007,
+    # a matrix product over each chunk in place of one matrix-vector product
+    # per sample, and ** 0.5 in place of np.sqrt (a 0-d value takes pow,
+    # an array sqrt), each moved a nilpotency bound by one ulp (OpenBLAS,
+    # numpy 2.4)
+    h = 0.007
+    factors = dynamics._lax_factors(example_ops, variant == "complexified")
+    frame = dynamics._eigenframe(factors, example_ops)
+    states = lax_deform(example_ops, 50.0, h, variant=variant)
+    assert len(states) > 2 * _samples_per_chunk(example_ops)  # three chunks at least
+    for i, s in enumerate(states):
+        assert s.t == i * h
+        want = frame.diagnostics(factors.coefficients(s.t))
+        assert (s.tr_m, s.spectrum_error, s.nilpotency_error, s.laplacian_error) == want
+
+
+def test_consistency_error_names_the_first_breach_in_a_later_chunk(example_ops, monkeypatch):
+    # a fault in beta from a time in the third chunk on; a fault in the
+    # factors themselves would breach at t = 0 already
+    h = 0.01
+    onset = (2 * _samples_per_chunk(example_ops) + 17) * h
+    exact = dynamics.LaxFactors.coefficients
+
+    def late_fault(self, t):
+        scale = np.where(np.asarray(t) >= onset, 1.0 + 1e-3, 1.0)[..., None]
+        return [(a, scale * beta) for a, beta in exact(self, t)]
+
+    monkeypatch.setattr(dynamics.LaxFactors, "coefficients", late_fault)
+    with pytest.raises(ConsistencyError, match=re.escape(f"Lax state at t = {onset:g} breaches")):
+        lax_deform(example_ops, 50.0, h)
+
+
+def test_transient_memory_does_not_grow_with_run_length():
+    # the peak above what the returned states hold stays put when the run
+    # is ten times longer, because the samples are evaluated in chunks
+    ops = operators_for(erdos_renyi(30, 0.25, random.Random(1)))
+    lax_deform(ops, 1.0, 0.01)  # the first LAPACK calls allocate too
+
+    def transient(t_final):
+        tracemalloc.start()
+        try:
+            states = lax_deform(ops, t_final, 0.01)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(states) == round(t_final / 0.01) + 1
+        return peak - current
+
+    short, long = transient(5.0), transient(50.0)
+    assert long <= 1.5 * short, (short, long)
 
 
 def _dense_drift(ops, state):
