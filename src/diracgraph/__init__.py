@@ -78,7 +78,6 @@ from .operators import (
     build_operators,
     exterior_derivative,
     operators_for,
-    parity_vector,
     path_count,
     simplex_degree,
 )

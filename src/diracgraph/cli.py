@@ -63,7 +63,7 @@ def cmd_analyze(args):
     eigs = ops.dirac_eigensystem[0]
     zero = ~hodge.nonzero(eigs)
     pdet = nonzero_product(eigs)
-    pdet_l = nonzero_product(np.sort(np.concatenate([e for e, _ in ops.block_eigensystems])))
+    pdet_l = nonzero_product(np.sort(np.concatenate([np.zeros(0)] + [e for e, _ in ops.block_eigensystems])))
     for name, value in (("Det(D)^2", pdet * pdet), ("Det(L)", pdet_l)):
         if not np.isfinite(value):
             raise OverflowError(f"{name} of this {c.v}-simplex complex overflows the float range")

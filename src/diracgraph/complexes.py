@@ -84,13 +84,6 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, frozenset())
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in vertex order."""
-        if v not in self.position:
-            raise ValueError(f"unknown vertex {v}")
-        nb = self.adjacency[v]
-        return tuple(u for u in self.vertices if u in nb)
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -31,7 +31,7 @@ diagnostic of a state (tr_m and the certified upper bounds spectrum_error,
 nilpotency_error and laplacian_error on the residuals of the matrices it
 rebuilds) is a few constants, read once per run from the factors and the
 blocks d_k, scaled by the sample's a(t) and beta(t).  A sample costs
-O(sum r_k^2), and a run factors nothing but the blocks (see _Eigenframe).
+O(sum r_k), and a run factors nothing but the blocks (see _Eigenframe).
 The samples are evaluated as array operations over a leading time axis,
 in chunks of about _CHUNK array elements, so a run's transient memory
 does not grow with its length.
@@ -204,7 +204,13 @@ class _Eigenframe:
     is one product per block and run, plus this rounding bound at t = 0;
     it includes the triples dropped below the kernel cut.
 
-    tr_m = 2 sum_k ||d_k(t)||_F^2 = 2 sum_k a^H H_k a, H_k = (U_k^T U_k) o (W_k^T W_k).
+    tr_m = 2 sum_k sum_i |a_{k,i}|^2, the flow's 2 sum_k ||d_k(t)||_F^2 in
+    exact arithmetic.  The blocks the factors define have ||d_k(t)||_F^2 =
+    a^H H_k a with H_k = (U_k^T U_k) o (W_k^T W_k), and ||H_k - I|| <= 2 delta +
+    delta^2 (U_k^T U_k - I and W_k^T W_k - I are diagonal blocks of G - I, and
+    the Schur product is submultiplicative in the spectral norm), so tr_m is
+    within a relative 2 delta + delta^2 of their 2 sum_k ||d_k(t)||_F^2, and
+    the rebuilt blocks differ from those by ||Delta d_k||_F <= e_k.
 
     Spectrum.  The nonzero eigenvalues of Z M Z^T are those of
     G^(1/2) M G^(1/2), and the other v - 2R are 0.  By Ostrowski's theorem
@@ -219,10 +225,12 @@ class _Eigenframe:
                                          + max |s' - s| + ||Delta D||_F.
 
     Nilpotency.  d_{k+1}(t) d_k(t) = U_{k+1} diag(a_{k+1}) C_k diag(a_k) W_k^T
-    and ||U_k||, ||W_k|| <= (1 + delta)^(1/2), so every entry of the product
-    of the rounded blocks is at most
+    and ||U_k||, ||W_k|| <= (1 + delta)^(1/2).  Each entry x_i C_ij y_j of
+    diag(x) C diag(y) is at most max |x| |C_ij| max |y| in modulus, so
+    ||diag(x) C diag(y)||_F <= max |x| ||C||_F max |y|, and every entry of
+    the product of the rounded blocks is at most
 
-        (1 + delta) ||diag(a_{k+1}) C_k diag(a_k)||_F + e_{k+1} n_k + n_{k+1} e_k + e_{k+1} e_k
+        (1 + delta) ||C_k||_F max |a_{k+1}| max |a_k| + e_{k+1} n_k + n_{k+1} e_k + e_{k+1} e_k
 
     with n_k = (1 + delta) max |a_k| >= ||d_k(t)||.  It is 0 unless two
     consecutive blocks both have triples.
@@ -236,13 +244,12 @@ class _Eigenframe:
             + 2 (1 + delta) max s' ||Delta D||_F + ||Delta D||_F^2.
 
     The bounds hold up to the rounding of the once-per-run constants
-    (delta, C_k, rho0), O(v eps max s^2).  A frame with delta > 1/2
+    (delta, ||C_k||_F, rho0), O(v eps max s^2).  A frame with delta > 1/2
     certifies nothing, and its residual is inf.
     """
 
     singular: np.ndarray  # s of every triple, block by block
-    grams: tuple[np.ndarray, ...]  # H_k
-    couplings: tuple[np.ndarray, ...]  # C_k o C_k
+    couplings: tuple[float, ...]  # ||C_k||_F
     delta: float
     residual: float  # rho0, or inf
     gamma: float
@@ -259,26 +266,24 @@ class _Eigenframe:
         """tr_m and the bounds on the spectral drift, the nilpotency and the
         Laplacian drift of the blocks that LaxFactors builds from coefficients.
 
-        Each reduces the last axis, so coefficients at one time give scalars
-        and coefficients at n times give n values; with no triples at all
-        every diagnostic is a scalar, the same at every time.  A time's values
-        do not depend on the times evaluated with it: the quadratic forms take
-        one dot or matrix-vector product per time (vecdot, matvec, vecmat),
-        and squares and square roots of per-time values are products and
-        np.sqrt, because a matrix product over all n, and ** on a 0-d value,
-        round differently."""
+        Coefficients at one time give scalars and coefficients at n times
+        give n values; with no triples at all every diagnostic is a scalar,
+        the same at every time.  Every per-sample reduction runs along the
+        last axis, so a time's values do not depend on the times evaluated
+        with it."""
         grow, rho = 1.0 + self.delta, self.residual
         mags = [np.abs(a) for a, _ in coefficients]
         s = np.concatenate([np.hypot(b, m) for (_, b), m in zip(coefficients, mags)] or [np.zeros(0)], axis=-1)
         top, top0 = np.max(s, axis=-1, initial=0.0), float(np.max(self.singular, initial=0.0))
         e, rounding = self.rounding(coefficients)
-        tr_m = 2.0 * sum(np.vecdot(a, np.matvec(h, a)).real for (a, _), h in zip(coefficients, self.grams))
+        tr_m = 2.0 * sum(np.sum(m * m, axis=-1) for m in mags)
         spectrum = (rho + self.delta * (top0 + top) + np.max(np.abs(s - self.singular), axis=-1, initial=0.0)
                     + rounding)
-        n = [grow * np.max(m, axis=-1, initial=0.0) for m in mags]  # >= ||d_k(t)||
+        peak = [np.max(m, axis=-1, initial=0.0) for m in mags]
+        n = [grow * p for p in peak]  # >= ||d_k(t)||
         nilpotency = 0.0
         for k, c in enumerate(self.couplings):
-            exact = grow * np.sqrt(np.vecdot(np.vecmat(mags[k + 1] ** 2, c), mags[k] ** 2))
+            exact = grow * c * peak[k + 1] * peak[k]
             nilpotency = np.maximum(nilpotency, exact + e[k + 1] * n[k] + n[k + 1] * e[k] + e[k + 1] * e[k])
         laplacian = (grow * (np.max(np.abs(s * s - self.singular**2), axis=-1, initial=0.0)
                              + self.delta * (top * top + top0 * top0))
@@ -342,6 +347,8 @@ def lax_deform(
     """
     if t_final <= 0 or h <= 0:
         raise ValueError("t_final and h must be positive")
+    if not np.isfinite(t_final / h):
+        raise ValueError(f"t_final / h = {t_final / h} is not a finite number of samples")
     if variant not in ("real", "complexified"):
         raise ValueError(f"unknown variant {variant!r}")
     factors = _lax_factors(ops, variant == "complexified")
@@ -377,7 +384,7 @@ def _eigenframe(factors: LaxFactors, ops: Operators) -> _Eigenframe:
     """The constants of _Eigenframe, once per run, from the factors and ops.dblocks."""
     triples = factors.triples
     uu, ww = [u.T @ u for u, _, _ in triples], [w.T @ w for _, _, w in triples]
-    couplings = [(w.T @ u) ** 2 for (u, _, _), (_, _, w) in zip(triples, triples[1:])]
+    couplings = [(w.T @ u) ** 2 for (u, _, _), (_, _, w) in zip(triples, triples[1:])]  # C_k o C_k
 
     def gap(g):
         return float(np.sum((g - np.eye(len(g))) ** 2))
@@ -389,8 +396,7 @@ def _eigenframe(factors: LaxFactors, ops: Operators) -> _Eigenframe:
     unit = float(np.finfo(float).eps) / 2 * (max([s.size for _, s, _ in triples], default=0) + 2)
     frame = _Eigenframe(
         singular=np.concatenate([np.zeros(0)] + [s for _, s, _ in triples]),
-        grams=tuple(gu * gw for gu, gw in zip(uu, ww)),
-        couplings=tuple(couplings),
+        couplings=tuple(float(np.sum(c)) ** 0.5 for c in couplings),
         delta=delta,
         residual=np.inf,
         gamma=unit / (1.0 - unit),

@@ -83,7 +83,8 @@ class Operators:
 
     @cached_property
     def parity(self) -> np.ndarray:
-        return parity_vector(self.complex)
+        c = self.complex
+        return np.repeat((-1) ** np.arange(len(c.strata), dtype=np.int64), c.counts)
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -120,10 +121,6 @@ class Operators:
     @cached_property
     def block_eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         return tuple(np.linalg.eigh(b.astype(float)) for b in self.lap_blocks)
-
-
-def parity_vector(c: CliqueComplex) -> np.ndarray:
-    return np.repeat((-1) ** np.arange(len(c.strata), dtype=np.int64), c.counts)
 
 
 def build_operators(

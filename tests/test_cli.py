@@ -13,6 +13,7 @@ from diracgraph import ConsistencyError, SimpleGraph, cli
 from diracgraph.cli import main
 from diracgraph.jsonutil import canonical_json, fraction_str
 from conftest import GOLDEN_CHARPOLY, erdos_renyi
+from test_golden import COMMANDS as SINGLE_GRAPH_COMMANDS
 
 EXAMPLE_EDGES = "1 2\n2 3\n1 3\n3 4\n2 4\n3 5\n5 6\n4 6\n4 7\n"
 
@@ -63,6 +64,12 @@ def test_json_round_trip_is_byte_identical(example_file, capsys):
     assert canonical_json(json.loads(out)) == out
     _, out2, _ = run(capsys, "cohomology", example_file, "--format", "json")
     assert canonical_json(json.loads(out2)) == out2
+
+
+def test_canonical_json_renders_arrays_and_rejects_other_types():
+    assert canonical_json({"a": np.array([[1, 2], [3, 4]])}) == '{"a":[[1,2],[3,4]]}\n'
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_json({"a": object()})
 
 
 def test_identical_runs_are_byte_identical(example_file, capsys):
@@ -311,6 +318,21 @@ def test_float_overflow_at_scale_exits_computation(tmp_path, capsys, command, qu
     assert quantity in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(SINGLE_GRAPH_COMMANDS))
+def test_every_command_reports_on_an_empty_graph(tmp_path, capsys, command, fmt):
+    # a report, or a computation error naming why the empty graph has none;
+    # never a usage error, which would say the input was malformed
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    code, out, err = run(capsys, command, str(empty), "--format", fmt, *SINGLE_GRAPH_COMMANDS[command])
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("computation error:") and err.count("\n") == 1
+
+
 def test_exit_code_capacity_error(tmp_path, capsys):
     big = tmp_path / "big.edges"
     big.write_text("\n".join(f"{i} {i+1}" for i in range(11)) + "\n")
@@ -356,6 +378,18 @@ def test_non_finite_or_negative_options_exit_usage(tmp_path, capsys, options):
     code, out, err = run(capsys, options[0], str(triangle), *options[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options, message", [
+    (["morse", "--f", "a,b"], "--f expects comma-separated numbers"),
+    (["zeta", "--s", "foo"], "cannot parse complex number 'foo'"),
+    (["deform", "--T", "1e300", "--h", "1e-300"], "t_final / h = inf is not a finite number of samples"),
+])
+def test_unusable_option_values_exit_usage(tmp_path, capsys, options, message):
+    triangle = tmp_path / "triangle.edges"
+    triangle.write_text("1 2\n2 3\n1 3\n")
+    code, out, err = run(capsys, options[0], str(triangle), *options[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("options", [

@@ -11,6 +11,7 @@ from diracgraph import (
     ComputationError,
     EdgeListError,
     GraphMismatchError,
+    OrientationAssignment,
     SimpleGraph,
     build_complex,
     euler_characteristic,
@@ -44,6 +45,12 @@ def test_simple_graph_rejects_bad_input():
         SimpleGraph([1, 2], [(1, 3)])
     with pytest.raises(ValueError):
         SimpleGraph([1, 1], [])
+    with pytest.raises(ValueError, match="at least 3"):
+        SimpleGraph.cycle(2)
+    with pytest.raises(ValueError, match="max_dim"):
+        build_complex(SimpleGraph.cycle(3), -1)
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        OrientationAssignment({(1, 2): 2})
 
 
 def test_build_complex_k3():

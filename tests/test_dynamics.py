@@ -489,6 +489,19 @@ def test_lax_input_validation(example_ops):
         lax_deform(example_ops, 1.0, 0.0)
     with pytest.raises(ValueError):
         lax_deform(example_ops, 1.0, 0.01, variant="imaginary")
+    with pytest.raises(ValueError, match="t_final / h = inf is not a finite number of samples"):
+        lax_deform(example_ops, 1e300, 1e-300)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ops: poisson_solve(ops, 1, np.ones(3)), "length 3 does not match stratum 1"),
+    (lambda ops: heat_evolve(ops, Cochain(0, np.ones(7)), -0.5), "t >= 0"),
+    (lambda ops: WaveState(Cochain(0, np.ones(7)), Cochain(1, np.ones(9))), "share a degree"),
+    (lambda ops: schrodinger_evolve(ops, np.ones(17), 1.0), "length 18"),
+], ids=["poisson length", "heat t < 0", "wave degrees", "schrodinger length"])
+def test_linear_flow_input_validation(example_ops, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(example_ops)
 
 
 def test_trajectory_csv(example_ops):

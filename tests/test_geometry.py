@@ -127,6 +127,15 @@ def test_poincare_hopf_rejects_ties():
         poincare_hopf(SimpleGraph.cycle(3), [1, 1, 2])
 
 
+@pytest.mark.parametrize("f, message", [
+    ([1, 2], "match the vertex count"),
+    ({1: 1, 2: 2, 4: 3}, "exactly on the vertices"),
+], ids=["sequence length", "mapping domain"])
+def test_poincare_hopf_rejects_a_wrong_domain(f, message):
+    with pytest.raises(ValueError, match=message):
+        poincare_hopf(SimpleGraph.cycle(3), f)
+
+
 def test_poincare_hopf_rejects_nan():
     # a triangle with a pendant vertex; NaN compares false both ways, so
     # accepting it gave indices that sum to 2 although chi = 1
@@ -196,6 +205,8 @@ def test_is_geometric():
     assert is_geometric(icosahedron(), 2)
     assert not is_geometric(SimpleGraph.complete(4), 2)
     assert not is_geometric(SimpleGraph.path(3), 1)
+    with pytest.raises(ValueError, match="starts at 1"):
+        is_geometric(SimpleGraph.cycle(4), 0)
 
 
 def test_contract_contractible_graphs(example):

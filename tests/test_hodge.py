@@ -72,6 +72,7 @@ def test_harmonic_basis_example(example_ops):
     h1 = harmonic_basis(example_ops, 1)
     assert len(h1) == 1
     assert rank_one_agreement(h1[0].values, EXAMPLE_HARMONIC_1FORM) >= 1 - 1e-8
+    assert harmonic_basis(example_ops, 3) == harmonic_basis(example_ops, -1) == []
 
 
 def test_harmonic_basis_is_harmonic(example_ops):
@@ -103,6 +104,14 @@ def test_hodge_decomposition_properties():
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(vecs[i] @ vecs[j]) < 1e-10
+
+
+def test_hodge_decomposition_of_a_function_has_no_exact_part(example_ops):
+    f = Cochain(0, np.random.default_rng(2).normal(size=7))
+    parts = hodge_decompose(example_ops, f)
+    assert not parts.exact.values.any()
+    assert np.linalg.norm(parts.coexact.values + parts.harmonic.values - f.values) < 1e-10
+    assert np.linalg.norm(example_ops.dblocks[0] @ parts.harmonic.values) < 1e-10
 
 
 def test_hodge_decomposition_special_inputs(example_ops):

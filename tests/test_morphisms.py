@@ -31,6 +31,7 @@ def test_automorphism_counts():
     assert len(automorphisms(SimpleGraph.cycle(5))) == 10
     assert len(automorphisms(SimpleGraph.complete(4))) == 24
     assert len(automorphisms(SimpleGraph.path(3))) == 2
+    assert automorphisms(SimpleGraph([], [])) == [{}]
 
 
 def test_automorphisms_match_brute_force():
@@ -42,6 +43,9 @@ def test_automorphisms_match_brute_force():
         key = lambda t: tuple(t[v] for v in g.vertices)
         assert sorted(map(key, ours)) == sorted(map(key, brute))
         assert all(is_automorphism(g, t) for t in ours)
+    c5 = SimpleGraph.cycle(5)
+    assert not is_automorphism(c5, {1: 1, 2: 2, 3: 3, 4: 4})  # not defined on 5
+    assert not is_automorphism(c5, {1: 1, 2: 1, 3: 3, 4: 4, 5: 5})  # not onto
 
 
 def test_automorphisms_group_closure():

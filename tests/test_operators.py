@@ -21,7 +21,6 @@ from diracgraph import (
     build_operators,
     exterior_derivative,
     operators_for,
-    parity_vector,
     path_count,
     simplex_degree,
 )
@@ -160,7 +159,7 @@ def test_dblock_row_support():
 
 def test_parity_and_supersymmetry(example_ops):
     ops = example_ops
-    p = parity_vector(ops.complex)
+    p = ops.parity
     assert np.array_equal(p * p, np.ones(18, dtype=int))
     pd = np.diag(p)
     assert not (ops.dirac @ pd + pd @ ops.dirac).any()
@@ -216,6 +215,8 @@ def test_simplex_degree(example_ops):
         assert simplex_degree(c4, 0, c4.complex.simplices.index(v)) == 2
     with pytest.raises(IndexError):
         simplex_degree(ops, 1, 0)  # global index 0 lives in stratum 0
+    with pytest.raises(IndexError, match="no stratum of dimension 3"):
+        simplex_degree(ops, 3, 0)
 
 
 def test_eigenvalue_pairing(example_ops):
@@ -228,6 +229,10 @@ def test_path_count():
     assert path_count(k2, 0, 0, 0) == 1
     assert path_count(k2, 0, 1, 0) == 0
     assert path_count(k2, 0, 0, 2) == 1  # out to the edge simplex and back
+    with pytest.raises(ValueError, match="nonnegative"):
+        path_count(k2, 0, 0, -1)
+    with pytest.raises(IndexError, match="out of range"):
+        path_count(k2, 0, 3, 1)
     ops = operators_for(example_graph())
     adj = np.abs(ops.dirac).astype(object)
     for k in range(7):

@@ -101,6 +101,8 @@ def test_pseudo_det():
     ops = operators_for(SimpleGraph.cycle(3))
     l0 = ops.lap_blocks[0].astype(float)
     assert abs(pseudo_det(l0) - 9.0) < 1e-9  # eigenvalues 0, 3, 3
+    with pytest.raises(ValueError, match="symmetric"):
+        pseudo_det(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_pseudo_det_example(example_ops):
@@ -344,3 +346,5 @@ def test_magnitude_values():
     assert magnitude(SimpleGraph.star(5)) > magnitude(SimpleGraph.complete(5))
     with pytest.raises(ComputationError):
         magnitude(SimpleGraph(range(4), [(0, 1), (2, 3)]))
+    with pytest.raises(ComputationError, match="empty graph"):
+        magnitude(SimpleGraph([], []))
