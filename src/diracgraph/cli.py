@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from dataclasses import replace
 
@@ -319,7 +320,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned again after.
+
+    Reusing it across main() calls is safe: parse_args fills a new
+    Namespace each call and every default is an immutable scalar, so no
+    option value carries over; _Parser.error and argparse's help look up
+    sys.stderr and sys.stdout when they print, so contextlib.redirect_*
+    still captures them; and prog is fixed as "diracgraph"."""
     parser = _Parser(
         prog="diracgraph",
         description="Dirac operator toolchain for the clique complex of a graph",

@@ -46,7 +46,7 @@ from decimal import ROUND_CEILING, Context
 
 import numpy as np
 
-from .errors import ConsistencyError, UnsolvableError
+from .errors import CapacityError, ConsistencyError, UnsolvableError
 from .hodge import Cochain, nonzero
 from .operators import Operators, place
 
@@ -54,6 +54,13 @@ from .operators import Operators, place
 # (samples times triples), so a run's transient memory does not grow with
 # its length; 2**16 raised the lax-deform benchmark's peak RSS by 1.2 MB
 _CHUNK = 2**14
+
+# lax_deform refuses a run of more samples than this, before it factors
+# anything: every state is retained, about 430 bytes a sample with the
+# CSV that deform renders from them (measured at 10**5 samples), so 2**22
+# samples take about 1.8 GB, and a T = 1e4, h = 0.01 run (10**6 + 1
+# samples) still fits
+SAMPLE_BUDGET = 2**22
 
 
 def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray) -> Cochain:
@@ -343,7 +350,8 @@ def lax_deform(
     The times are evaluated in chunks of _CHUNK // R samples for R triples,
     and each state's diagnostics are bit for bit those of its t alone.
     Nilpotency or spectral drift beyond its bound is a bug and raises
-    ConsistencyError.
+    ConsistencyError.  A run of more than SAMPLE_BUDGET samples raises
+    CapacityError before anything is factored.
     """
     if t_final <= 0 or h <= 0:
         raise ValueError("t_final and h must be positive")
@@ -351,9 +359,14 @@ def lax_deform(
         raise ValueError(f"t_final / h = {t_final / h} is not a finite number of samples")
     if variant not in ("real", "complexified"):
         raise ValueError(f"unknown variant {variant!r}")
+    samples = round(t_final / h) + 1
+    if samples > SAMPLE_BUDGET:
+        raise CapacityError(
+            f"lax_deform takes at most {SAMPLE_BUDGET} samples; t_final / h asks for {samples:.9g}"
+        )
     factors = _lax_factors(ops, variant == "complexified")
     frame = _eigenframe(factors, ops)
-    times = np.arange(int(round(t_final / h)) + 1) * h  # = i * h, bit for bit
+    times = np.arange(samples) * h  # = i * h, bit for bit
     size = max(1, _CHUNK // max(1, frame.singular.size))
     states = []
     for chunk in (times[lo:lo + size] for lo in range(0, times.size, size)):

@@ -133,7 +133,7 @@ def kirchhoff_trees(g: SimpleGraph) -> int:
         l0[i, i] += 1
         l0[j, j] += 1
     if prod(l0.diagonal()[1:].tolist()) >= 2 ** 60:
-        estimate = pseudo_det(l0) / g.n
+        estimate = nonzero_product(np.linalg.eigvalsh(l0)) / g.n  # l0 is symmetric by construction
         if isinf(estimate):
             raise OverflowError(
                 f"the spanning-tree count of this {g.n}-vertex graph overflows the float range"

@@ -13,7 +13,7 @@ from diracgraph import ConsistencyError, SimpleGraph, cli
 from diracgraph.cli import main
 from diracgraph.jsonutil import canonical_json, fraction_str
 from conftest import GOLDEN_CHARPOLY, erdos_renyi
-from test_golden import COMMANDS as SINGLE_GRAPH_COMMANDS
+from test_golden import COMMANDS as SINGLE_GRAPH_COMMANDS, OUT as GOLDEN_OUT, render
 
 EXAMPLE_EDGES = "1 2\n2 3\n1 3\n3 4\n2 4\n3 5\n5 6\n4 6\n4 7\n"
 
@@ -340,6 +340,15 @@ def test_exit_code_capacity_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("t_final, asked", [("1e300", "1e+300"), ("1e12", "1e+12")])
+def test_deform_beyond_the_sample_budget_exits_capacity(tmp_path, capsys, t_final, asked):
+    triangle = tmp_path / "triangle.edges"
+    triangle.write_text("1 2\n2 3\n1 3\n")
+    code, out, err = run(capsys, "deform", str(triangle), "--T", t_final, "--h", "1")
+    assert (code, out) == (3, "")
+    assert err == f"capacity error: lax_deform takes at most 4194304 samples; t_final / h asks for {asked}\n"
+
+
 def test_out_of_memory_exits_capacity(example_file, capsys, monkeypatch):
     def exhausted(c, orientation=None):
         raise MemoryError
@@ -434,6 +443,35 @@ def test_each_command_offers_exactly_its_options():
                for name, p in sub.choices.items()}
     assert offered == {name: own | {"--format", "--out"} for name, own in COMMAND_OPTIONS.items()}
     assert sum(map(len, offered.values())) == 42
+
+
+def test_one_parser_is_built_and_safely_reused():
+    """main() calls in one process share the parser, and no call leaks into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    morse_f = ["morse", "example.edges", "--f", "1,2,3,4,5,6,7"]
+    first_morse_f = render(morse_f)
+    assert first_morse_f.startswith(b"$ diracgraph morse example.edges --f 1,2,3,4,5,6,7\nexit 0\n")
+
+    def golden(name):
+        command, graph, fmt = name.split(".")
+        argv = [command, f"{graph}.edges", "--format", fmt] + SINGLE_GRAPH_COMMANDS[command]
+        return argv, (GOLDEN_OUT / name).read_bytes()
+
+    # (earlier call, what it must print, later call and its expected bytes)
+    for before, shown, (after, expected) in [
+        (["spectrum", "example.edges", "--max-dim", "1"], "exit 0\n--- stdout\ndirac spectrum: ",
+         golden("spectrum.example.text")),
+        (["morse", "example.edges", "--seed", "3"], "exit 0\n--- stdout\ni(1) = ", (morse_f, first_morse_f)),
+        (["zeta", "example.edges"],
+         "exit 1\n--- stdout\n--- stderr\nerror: the following arguments are required: --s\n--- warnings",
+         golden("zeta.example.json")),
+        (["cohomology", "example.edges", "--form", "json"],
+         "exit 1\n--- stdout\n--- stderr\nerror: unrecognized arguments: --form json\n--- warnings",
+         golden("cohomology.example.text")),
+        (["--help"], "exit 0\n--- stdout\nusage: diracgraph ", golden("analyze.example.json")),
+    ]:
+        assert shown in render(before).decode(), before
+        assert render(after) == expected, (before, after)
 
 
 def test_readme_lists_the_options():

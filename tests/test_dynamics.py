@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diracgraph import (
+    CapacityError,
     Cochain,
     ConsistencyError,
     SimpleGraph,
@@ -491,6 +492,25 @@ def test_lax_input_validation(example_ops):
         lax_deform(example_ops, 1.0, 0.01, variant="imaginary")
     with pytest.raises(ValueError, match="t_final / h = inf is not a finite number of samples"):
         lax_deform(example_ops, 1e300, 1e-300)
+
+
+def test_sample_budget_is_checked_before_factoring(example_ops, monkeypatch):
+    class Factored(Exception):
+        pass
+
+    def factor(ops, complexified):
+        raise Factored
+
+    monkeypatch.setattr(dynamics, "_lax_factors", factor)
+    budget = dynamics.SAMPLE_BUDGET
+    for t_final, h, asked in ((budget, 1.0, f"{budget + 1}"), (1e12, 1.0, "1e+12"), (1e300, 1.0, "1e+300")):
+        with pytest.raises(CapacityError, match=re.escape(
+                f"lax_deform takes at most {budget} samples; t_final / h asks for {asked}")):
+            lax_deform(example_ops, t_final, h)
+    # budget samples exactly, and T = 1e4 at h = 0.01 (10**6 + 1 samples), go on to factor
+    for t_final, h in ((budget - 1, 1.0), (1e4, 0.01)):
+        with pytest.raises(Factored):
+            lax_deform(example_ops, t_final, h)
 
 
 @pytest.mark.parametrize("call, message", [
