@@ -223,6 +223,8 @@ def cmd_deform(args):
     path = args.snapshots or (args.out + ".snapshots.json" if args.out else None)
     if args.snapshot_every and path is None:
         raise argparse.ArgumentTypeError("--snapshot-every needs --snapshots or --out")
+    if args.snapshots and not args.snapshot_every:
+        raise argparse.ArgumentTypeError("--snapshots needs a positive --snapshot-every")
     _, _, ops = _ops(args)
     states = lax_deform(ops, args.T, args.h, variant=args.variant)
     csv = trajectory_csv(states)
@@ -356,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("zeta"), max_dim=True)
     p.add_argument("--s", required=True, help="complex argument, e.g. '2' or '1+0.5j'")
     common(sub.add_parser("distance"), inputs=2)
-    p = common(sub.add_parser("deform"), max_dim=True)
+    p = common(sub.add_parser("deform", description="The Lax deformation trajectory as CSV, one row"
+                              " per sample; --format json prints the same CSV."), max_dim=True)
     p.add_argument("--T", type=float, default=10.0, help="total deformation time")
     p.add_argument("--h", type=float, default=0.01, help="sampling interval: rows at t = 0, h, 2h, ...")
     p.add_argument("--variant", choices=("real", "complexified"), default="real")

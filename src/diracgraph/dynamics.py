@@ -28,9 +28,11 @@ interval, not a step size.  One SVD per block is taken per run, and every
 state of the run shares those factors.  On each triple D(t) acts on
 span(u, w) as [[beta, a], [conj a, -beta]], with eigenvalues +-s, so every
 diagnostic of a state (tr_m and the certified upper bounds spectrum_error,
-nilpotency_error and laplacian_error on the residuals of the matrices it
-rebuilds) is a few constants, read once per run from the factors and the
-blocks d_k, scaled by the sample's a(t) and beta(t).  A sample costs
+nilpotency_error and laplacian_error) is a few constants, read once per run
+from the factors and the blocks d_k, scaled by the sample's a(t) and
+beta(t).  The bounds certify the factor form Z M(t) Z^T that the run's float
+factors and coefficients define exactly, not a dense matrix rebuilt from
+it: whoever builds that matrix adds its rounding.  A sample costs
 O(sum r_k), and a run factors nothing but the blocks (see _Eigenframe).
 The samples are evaluated as array operations over a leading time axis,
 in chunks of about _CHUNK array elements, so a run's transient memory
@@ -85,8 +87,8 @@ def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray) -> Cochain:
 
 def heat_evolve(ops: Operators, u0: Cochain, t: float) -> Cochain:
     """Solution e^(-t L_k) u0 of the heat equation."""
-    if t < 0:
-        raise ValueError("heat flow requires t >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("heat flow requires a finite t >= 0")
     eigs, vecs = ops.block_eigensystems[u0.degree]
     values = np.asarray(u0.values, dtype=float)
     return Cochain(u0.degree, vecs @ (np.exp(-t * eigs) * (vecs.T @ values)))
@@ -110,6 +112,8 @@ def wave_evolve(ops: Operators, w: WaveState, t: float) -> WaveState:
     component of the velocity drifts linearly, the unique continuous
     extension of the formula.
     """
+    if not np.isfinite(t):
+        raise ValueError("wave flow requires a finite t")
     k = w.u.degree
     eigs, vecs = ops.block_eigensystems[k]
     u_hat = vecs.T @ np.asarray(w.u.values, dtype=float)
@@ -126,6 +130,8 @@ def wave_evolve(ops: Operators, w: WaveState, t: float) -> WaveState:
 
 def schrodinger_evolve(ops: Operators, psi0: np.ndarray, t: float) -> np.ndarray:
     """Unitary evolution e^(i D t) psi0 on the full simplex space."""
+    if not np.isfinite(t):
+        raise ValueError("Schroedinger flow requires a finite t")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (ops.v,):
         raise ValueError(f"state must have length {ops.v}")
@@ -198,26 +204,25 @@ class _Eigenframe:
     block diagonal with the Gram G_k of [U_{k-1} | W_k] on stratum k, whose
     entries are those of U^T U, W^T W and C_k = W_{k+1}^T U_k.  Hence, with
     no eigendecomposition, delta = max_k ||G_k - I||_F >= ||G - I|| and
-    ||Z||^2 <= 1 + delta.  The blocks that LaxFactors._assemble builds
-    differ from Z M Z^T by the rounding Delta D.  Higham's
-    gamma = n u / (1 - n u), n = max r_k + 2, bounds each entry of it by
-    gamma times the same sums taken in absolute values, so with
-    |Re a| + |Im a| <= sqrt 2 |a| and ||u||^2, ||w||^2 <= 1 + delta
-
-        ||Delta d_k||_F <= e_k = sqrt 2 gamma (1 + delta) sum |a_k|,
-        ||Delta D||_F <= sqrt 2 sum_k e_k + 2 gamma (1 + delta) sum |beta|.
+    ||Z||^2 <= 1 + delta.  Every bound below is on Z M(t) Z^T itself, the
+    exact matrix of the float factors and coefficients; the dense blocks
+    that LaxFactors._assemble rebuilds differ from it by their own rounding,
+    of order gamma sum |a| (Higham), which no diagnostic includes.
 
     The residual rho0 >= ||D - Z M(0) Z^T||_F = (2 sum_k ||d_k - U_k S_k W_k^T||_F^2)^(1/2)
-    is one product per block and run, plus this rounding bound at t = 0;
-    it includes the triples dropped below the kernel cut.
+    is one product per block and run, plus a bound on that product's
+    rounding: Higham's gamma = n u / (1 - n u), n = max r_k + 2, bounds each
+    entry of it by gamma (|U_k| S_k |W_k|^T), so with ||u||^2, ||w||^2 <=
+    1 + delta it is below sqrt 2 gamma (1 + delta) sum s_k for block k and
+    sqrt 2 times the sum over k of that for D.  rho0 includes the triples
+    dropped below the kernel cut.
 
     tr_m = 2 sum_k sum_i |a_{k,i}|^2, the flow's 2 sum_k ||d_k(t)||_F^2 in
     exact arithmetic.  The blocks the factors define have ||d_k(t)||_F^2 =
     a^H H_k a with H_k = (U_k^T U_k) o (W_k^T W_k), and ||H_k - I|| <= 2 delta +
     delta^2 (U_k^T U_k - I and W_k^T W_k - I are diagonal blocks of G - I, and
     the Schur product is submultiplicative in the spectral norm), so tr_m is
-    within a relative 2 delta + delta^2 of their 2 sum_k ||d_k(t)||_F^2, and
-    the rebuilt blocks differ from those by ||Delta d_k||_F <= e_k.
+    within a relative 2 delta + delta^2 of their 2 sum_k ||d_k(t)||_F^2.
 
     Spectrum.  The nonzero eigenvalues of Z M Z^T are those of
     G^(1/2) M G^(1/2), and the other v - 2R are 0.  By Ostrowski's theorem
@@ -225,30 +230,27 @@ class _Eigenframe:
     G^(1/2) M G^(1/2) is theta_i times that of M, theta_i in
     [1 - delta, 1 + delta], so the sorted spectrum of Z M(t) Z^T is within
     delta max s' of sort(s', -s', 0, ...).  With the same at t = 0, Weyl's
-    inequality on D - Z M(0) Z^T and on Delta D, and sorting 1-Lipschitz in
-    the max norm, the rounded D~(t) has
+    inequality on D - Z M(0) Z^T, and sorting 1-Lipschitz in the max norm,
 
-        max_i |eig_i D~(t) - eig_i D| <= rho0 + delta (max s + max s')
-                                         + max |s' - s| + ||Delta D||_F.
+        max_i |eig_i Z M(t) Z^T - eig_i D| <= rho0 + delta (max s + max s')
+                                              + max |s' - s|.
 
     Nilpotency.  d_{k+1}(t) d_k(t) = U_{k+1} diag(a_{k+1}) C_k diag(a_k) W_k^T
     and ||U_k||, ||W_k|| <= (1 + delta)^(1/2).  Each entry x_i C_ij y_j of
     diag(x) C diag(y) is at most max |x| |C_ij| max |y| in modulus, so
     ||diag(x) C diag(y)||_F <= max |x| ||C||_F max |y|, and every entry of
-    the product of the rounded blocks is at most
+    d_{k+1}(t) d_k(t) is at most
 
-        (1 + delta) ||C_k||_F max |a_{k+1}| max |a_k| + e_{k+1} n_k + n_{k+1} e_k + e_{k+1} e_k
+        (1 + delta) ||C_k||_F max |a_{k+1}| max |a_k|.
 
-    with n_k = (1 + delta) max |a_k| >= ||d_k(t)||.  It is 0 unless two
-    consecutive blocks both have triples.
+    It is 0 unless two consecutive blocks both have triples.
 
     Laplacian.  With G = I + E, (Z M Z^T)^2 = Z M^2 Z^T + Z M E M Z^T and
-    D = Z M(0) Z^T + R0, ||R0|| <= rho0, every entry of D~(t)^2 - L is at
-    most
+    D = Z M(0) Z^T + R0, ||R0|| <= rho0, every entry of (Z M(t) Z^T)^2 - L
+    is at most
 
         (1 + delta) (max |s'^2 - s^2| + delta (max s'^2 + max s^2))
-            + 2 (1 + delta) max s rho0 + rho0^2
-            + 2 (1 + delta) max s' ||Delta D||_F + ||Delta D||_F^2.
+            + 2 (1 + delta) max s rho0 + rho0^2.
 
     The bounds hold up to the rounding of the once-per-run constants
     (delta, ||C_k||_F, rho0), O(v eps max s^2).  A frame with delta > 1/2
@@ -259,19 +261,10 @@ class _Eigenframe:
     couplings: tuple[float, ...]  # ||C_k||_F
     delta: float
     residual: float  # rho0, or inf
-    gamma: float
-
-    def rounding(self, coefficients) -> tuple[list[np.ndarray], np.ndarray]:
-        """The bounds e_k on ||Delta d_k||_F and the bound on ||Delta D||_F,
-        one per row of the coefficients."""
-        scale = self.gamma * (1.0 + self.delta)
-        e = [2**0.5 * scale * np.sum(np.abs(a), axis=-1) for a, _ in coefficients]
-        beta = sum(np.sum(np.abs(b), axis=-1) for _, b in coefficients)
-        return e, 2**0.5 * sum(e) + 2.0 * scale * beta
 
     def diagnostics(self, coefficients) -> tuple[np.ndarray, ...]:
         """tr_m and the bounds on the spectral drift, the nilpotency and the
-        Laplacian drift of the blocks that LaxFactors builds from coefficients.
+        Laplacian drift of the factor form Z M Z^T at the coefficients.
 
         Coefficients at one time give scalars and coefficients at n times
         give n values; with no triples at all every diagnostic is a scalar,
@@ -282,19 +275,15 @@ class _Eigenframe:
         mags = [np.abs(a) for a, _ in coefficients]
         s = np.concatenate([np.hypot(b, m) for (_, b), m in zip(coefficients, mags)] or [np.zeros(0)], axis=-1)
         top, top0 = np.max(s, axis=-1, initial=0.0), float(np.max(self.singular, initial=0.0))
-        e, rounding = self.rounding(coefficients)
         tr_m = 2.0 * sum(np.sum(m * m, axis=-1) for m in mags)
-        spectrum = (rho + self.delta * (top0 + top) + np.max(np.abs(s - self.singular), axis=-1, initial=0.0)
-                    + rounding)
+        spectrum = rho + self.delta * (top0 + top) + np.max(np.abs(s - self.singular), axis=-1, initial=0.0)
         peak = [np.max(m, axis=-1, initial=0.0) for m in mags]
-        n = [grow * p for p in peak]  # >= ||d_k(t)||
         nilpotency = 0.0
         for k, c in enumerate(self.couplings):
-            exact = grow * c * peak[k + 1] * peak[k]
-            nilpotency = np.maximum(nilpotency, exact + e[k + 1] * n[k] + n[k + 1] * e[k] + e[k + 1] * e[k])
+            nilpotency = np.maximum(nilpotency, grow * c * peak[k + 1] * peak[k])
         laplacian = (grow * (np.max(np.abs(s * s - self.singular**2), axis=-1, initial=0.0)
                              + self.delta * (top * top + top0 * top0))
-                     + (2.0 * grow * top0 + rho) * rho + (2.0 * grow * top + rounding) * rounding)
+                     + (2.0 * grow * top0 + rho) * rho)
         return tr_m, spectrum, nilpotency, laplacian
 
 
@@ -302,11 +291,13 @@ class _Eigenframe:
 class DeformationState:
     """One sample of the Lax flow with its diagnostics.
 
-    A state keeps t, the diagnostics of the matrices at t and a reference
-    to the run's shared LaxFactors, never a matrix, so its size does not
-    depend on v or on the length of the run.  d, b and dirac rebuild a
-    fresh dense v x v array from the factors on every read; bind the
-    result once.
+    A state keeps t, the diagnostics of the factor form Z M(t) Z^T at t
+    and a reference to the run's shared LaxFactors, never a matrix, so its
+    size does not depend on v or on the length of the run.  d, b and dirac
+    rebuild a fresh dense v x v array from the factors on every read; bind
+    the result once.  A rebuild adds rounding of order gamma sum |a|
+    (Higham's gamma_n, n = max r_k + 2), which the diagnostics do not
+    include.
     """
 
     t: float
@@ -341,10 +332,11 @@ def lax_deform(
 
     The flow is evaluated in closed form (see the module docstring) at
     every t = i h up to round(t_final / h) h.  Each state records tr_m and
-    three certified upper bounds on the residuals of the matrices that the
-    state rebuilds at its t: spectrum_error on the spectral drift
-    max |eig D(t) - eig D|, nilpotency_error on max |d(t)^2| and
-    laplacian_error on max |D(t)^2 - L|.  They scale constants read once
+    three certified upper bounds on the residuals of D(t) = Z M(t) Z^T, the
+    factor form that the run's float factors and coefficients define
+    exactly (not a dense matrix rebuilt from it): spectrum_error on the
+    spectral drift max |eig D(t) - eig D|, nilpotency_error on max |d(t)^2|
+    and laplacian_error on max |D(t)^2 - L|.  They scale constants read once
     per run from the factors and the blocks d_k (see _Eigenframe), so the
     run factors nothing but the blocks and a sample forms no matrix.
     The times are evaluated in chunks of _CHUNK // R samples for R triples,
@@ -406,18 +398,19 @@ def _eigenframe(factors: LaxFactors, ops: Operators) -> _Eigenframe:
     empty = np.zeros((0, 0))
     delta = max(gap(gu) + gap(gw) + 2.0 * float(np.sum(c))
                 for gu, gw, c in zip([empty] + uu, ww + [empty], [empty] + couplings + [empty])) ** 0.5
-    unit = float(np.finfo(float).eps) / 2 * (max([s.size for _, s, _ in triples], default=0) + 2)
     frame = _Eigenframe(
         singular=np.concatenate([np.zeros(0)] + [s for _, s, _ in triples]),
         couplings=tuple(float(np.sum(c)) ** 0.5 for c in couplings),
         delta=delta,
         residual=np.inf,
-        gamma=unit / (1.0 - unit),
     )
     if delta > 0.5:
         return frame
     square = sum(float(np.sum((blk - (u * s) @ w.T) ** 2)) for blk, (u, s, w) in zip(ops.dblocks, triples))
-    _, rounding = frame.rounding([(s, 0.0 * s) for _, s, _ in triples])
+    # the rounding bound of (u * s) @ w.T: sqrt 2 gamma (1 + delta) sum s_k per block, sqrt 2 their sum for D
+    unit = float(np.finfo(float).eps) / 2 * (max([s.size for _, s, _ in triples], default=0) + 2)
+    scale = unit / (1.0 - unit) * (1.0 + delta)
+    rounding = 2**0.5 * sum(2**0.5 * scale * np.sum(s) for _, s, _ in triples)
     return replace(frame, residual=(2.0 * square) ** 0.5 + rounding)
 
 
@@ -426,8 +419,9 @@ def trajectory_csv(states: list[DeformationState]) -> str:
 
     spectrumError and nilpotencyError are the state's spectrum_error and
     nilpotency_error: certified upper bounds on max |eig D(t) - eig D| and
-    max |d(t)^2|, not measured residuals.  Both are rounded up to 3
-    significant digits, so they stay upper bounds.
+    max |d(t)^2| for the exact factor form D(t) = Z M(t) Z^T, not measured
+    residuals of a rebuilt matrix.  Both are rounded up to 3 significant
+    digits, so they stay upper bounds.
     """
     up = Context(prec=3, rounding=ROUND_CEILING).create_decimal_from_float
     rows = [f"{s.t:.6f},{s.tr_m:.12g},{up(s.spectrum_error):g},{up(s.nilpotency_error):g}"

@@ -114,8 +114,8 @@ def heat_kernel(ops: Operators, t: float) -> np.ndarray:
     For t -> infinity this converges to the orthogonal projection onto
     ker(L), because every positive eigenvalue decays exponentially.
     """
-    if t < 0:
-        raise ValueError("heat kernel requires t >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("heat kernel requires a finite t >= 0")
     blocks = ((k, k, (vecs * np.exp(-t * eigs)) @ vecs.T)
               for k, (eigs, vecs) in enumerate(ops.block_eigensystems))
     return place(ops.offsets, ops.v, blocks, float)

@@ -176,7 +176,7 @@ def lefschetz_zeta(ops: Operators, t: GraphMap, z: complex) -> complex:
     are powers of the independent 1 - z^m, whose exponents are summed first,
     so a zeta function that is identically 1 evaluates to exactly 1.
     """
-    if abs(z) >= 1:
+    if not abs(z) < 1:  # NaN fails too
         raise ValueError("the series requires |z| < 1")
     exponents: Counter[int] = Counter()
     for x, length, sign in _cycles(ops.complex, t):

@@ -352,9 +352,10 @@ def _rational(x) -> np.ndarray:
 def exact_lax_blocks(factors, coefficients):
     """The blocks d_k(t) and b_k(t) over Q, from the same float factors and coefficients.
 
-    Every float is a rational, so these are the blocks that
-    LaxFactors._assemble forms, without its rounding.  Each d_k is a pair
-    (real part, imaginary part) of Fraction arrays.
+    Every float is a rational, so these are the blocks of the factor form
+    Z M(t) Z^T that the lax_deform bounds certify: what LaxFactors._assemble
+    forms, without its rounding.  Each d_k is a pair (real part, imaginary
+    part) of Fraction arrays.
     """
     b = [np.full((n, n), Fraction(0), dtype=object) for n in np.diff(factors.offsets)]
     d = []
@@ -364,12 +365,6 @@ def exact_lax_blocks(factors, coefficients):
         b[k + 1] = b[k + 1] + (u * beta) @ u.T
         b[k] = b[k] - (w * beta) @ w.T
     return d, b
-
-
-def exact_product(x, y):
-    """(real part, imaginary part) of x @ y over Q, for float or complex arrays."""
-    xr, xi, yr, yi = (_rational(part) for part in (np.real(x), np.imag(x), np.real(y), np.imag(y)))
-    return xr @ yr - xi @ yi, xr @ yi + xi @ yr
 
 
 def _dense_lax_rhs(d, b, variant):

@@ -267,6 +267,17 @@ def test_deform_snapshot_path_checked_before_integrating(example_file, capsys, m
     assert err == "error: --snapshot-every needs --snapshots or --out\n"
 
 
+@pytest.mark.parametrize("every", [[], ["--snapshot-every", "0"]])
+def test_deform_snapshots_without_snapshot_every_exit_usage(tmp_path, capsys, every):
+    triangle = tmp_path / "triangle.edges"
+    triangle.write_text("1 2\n2 3\n1 3\n")
+    snaps = tmp_path / "s.json"
+    code, out, err = run(capsys, "deform", str(triangle), "--T", "0.02", "--snapshots", str(snaps), *every)
+    assert (code, out) == (1, "")
+    assert err == "error: --snapshots needs a positive --snapshot-every\n"
+    assert not snaps.exists()
+
+
 def test_lefschetz_command(tmp_path, capsys):
     c5 = tmp_path / "c5.edges"
     c5.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")

@@ -18,7 +18,9 @@ from diracgraph import (
     WaveState,
     harmonic_basis,
     heat_evolve,
+    heat_kernel,
     lax_deform,
+    lefschetz_zeta,
     operators_for,
     poisson_solve,
     schrodinger_evolve,
@@ -26,8 +28,9 @@ from diracgraph import (
     wave_evolve,
 )
 from diracgraph import dynamics
+from diracgraph.operators import place
 
-from conftest import dense_lax_deform, erdos_renyi, exact_lax_blocks, exact_product, octahedron
+from conftest import dense_lax_deform, erdos_renyi, exact_lax_blocks, octahedron
 
 
 def _random_cochain(ops, k, seed=0, complex_valued=False):
@@ -345,35 +348,32 @@ def _max_square(re, im) -> Fraction:
     return max((x * x + y * y for x, y in zip(re.ravel(), im.ravel())), default=Fraction(0))
 
 
-@pytest.mark.parametrize("graph, variant", [
-    ("example", "real"),
-    ("octahedron", "complexified"),
-])
+@pytest.mark.parametrize("variant", ["real", "complexified"])
+@pytest.mark.parametrize("graph", ["example", "octahedron"])
 def test_bounds_against_exact_arithmetic(example, graph, variant):
-    # the a-priori bounds e_k >= ||Delta d_k||_F and ||Delta D||_F against
-    # the blocks that the same float factors define over Q, and the
-    # nilpotency and Laplacian bounds against the exact residuals of the
-    # rounded blocks, with no slack for a float product
+    # the certified object is the factor form Z M(t) Z^T of the float factors
+    # and coefficients, built here over Q: at t = 0 it is within rho0 of D,
+    # and its nilpotency and Laplacian residuals are within the bounds at
+    # every t, with no slack for any rounding
     ops = operators_for(example if graph == "example" else octahedron())
     factors = dynamics._lax_factors(ops, variant == "complexified")
     frame = dynamics._eigenframe(factors, ops)
     for t in (0.0, 0.3, 2.0):
         coefficients = factors.coefficients(t)
-        d, b = factors._assemble(coefficients)
-        exact_d, exact_b = exact_lax_blocks(factors, coefficients)
-        e, total = frame.rounding(coefficients)
-        square = sum((_square_distance(got, want) for got, want in zip(b, exact_b)), Fraction(0))
-        for got, (re, im), bound in zip(d, exact_d, e):
-            err = _square_distance(np.real(got), re) + _square_distance(np.imag(got), im)
-            assert err <= Fraction(bound) ** 2
-            square += 2 * err  # d_k and its adjoint
-        assert 0 < square <= Fraction(total) ** 2
+        d, b = exact_lax_blocks(factors, coefficients)
+        if t == 0.0:
+            square = sum((_square_distance(blk, re) + _square_distance(np.zeros(im.shape), im)
+                          for blk, (re, im) in zip(ops.dblocks, d)), Fraction(0))
+            assert 0 < 2 * square <= Fraction(frame.residual) ** 2
         _, _, nilpotency, laplacian = frame.diagnostics(coefficients)
-        for lower, upper in zip(d, d[1:]):
-            assert _max_square(*exact_product(upper, lower)) <= Fraction(nilpotency) ** 2
-        dirac = factors.dense(d, b, adjoint=True)
-        re, im = exact_product(dirac, dirac)
-        assert _max_square(re - ops.laplacian, im) <= Fraction(laplacian) ** 2
+        for (lr, li), (ur, ui) in zip(d, d[1:]):
+            assert _max_square(ur @ lr - ui @ li, ur @ li + ui @ lr) <= Fraction(nilpotency) ** 2
+        re = place(factors.offsets, ops.v, [(k + 1, k, x) for k, (x, _) in enumerate(d)]
+                   + [(k, k + 1, x.T) for k, (x, _) in enumerate(d)]
+                   + [(k, k, x) for k, x in enumerate(b)], object)
+        im = place(factors.offsets, ops.v, [(k + 1, k, y) for k, (_, y) in enumerate(d)]
+                   + [(k, k + 1, -y.T) for k, (_, y) in enumerate(d)], object)
+        assert _max_square(re @ re - im @ im - ops.laplacian, re @ im + im @ re) <= Fraction(laplacian) ** 2
 
 
 @pytest.mark.parametrize("fault", ["singular vector", "singular value", "u column"])
@@ -522,6 +522,26 @@ def test_sample_budget_is_checked_before_factoring(example_ops, monkeypatch):
 def test_linear_flow_input_validation(example_ops, call, message):
     with pytest.raises(ValueError, match=message):
         call(example_ops)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda ops, x: heat_evolve(ops, Cochain(0, np.ones(7)), x),
+    lambda ops, x: heat_kernel(ops, x),
+    lambda ops, x: wave_evolve(ops, WaveState(Cochain(0, np.ones(7)), Cochain(0, np.ones(7))), x),
+    lambda ops, x: schrodinger_evolve(ops, np.ones(18), x),
+    lambda ops, x: lefschetz_zeta(ops, {v: v for v in ops.complex.host.vertices}, x),
+], ids=["heat", "heat kernel", "wave", "schrodinger", "lefschetz zeta"])
+def test_non_finite_parameters_raise(example_ops, call, value):
+    with pytest.raises(ValueError):
+        call(example_ops, value)
+
+
+def test_nilpotency_bound_does_not_grow_with_rank():
+    # on 1,747 simplices the bound is the coupling term alone, about 1e-13;
+    # a term scaled by the rank of the blocks would put it above 1e-10
+    ops = operators_for(erdos_renyi(200, 0.06, random.Random(1)))
+    assert lax_deform(ops, 0.1, 0.1)[0].nilpotency_error < 1e-12
 
 
 def test_trajectory_csv(example_ops):
