@@ -22,6 +22,7 @@ from .complexes import (
 )
 from .dynamics import (
     DeformationState,
+    Trajectory,
     WaveState,
     heat_evolve,
     lax_deform,

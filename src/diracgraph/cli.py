@@ -226,14 +226,10 @@ def cmd_deform(args):
     if args.snapshots and not args.snapshot_every:
         raise argparse.ArgumentTypeError("--snapshots needs a positive --snapshot-every")
     _, _, ops = _ops(args)
-    states = lax_deform(ops, args.T, args.h, variant=args.variant)
-    csv = trajectory_csv(states)
+    traj = lax_deform(ops, args.T, args.h, variant=args.variant)
+    csv = trajectory_csv(traj)
     if args.snapshot_every:
-        snaps = [
-            {"t": s.t, "d": s.d.tolist(), "b": s.b.tolist()}
-            for i, s in enumerate(states)
-            if i % args.snapshot_every == 0
-        ]
+        snaps = [{"t": s.t, "d": s.d.tolist(), "b": s.b.tolist()} for s in traj[:: args.snapshot_every]]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(snaps))
     return None, csv.rstrip("\n")

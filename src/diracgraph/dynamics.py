@@ -36,13 +36,16 @@ it: whoever builds that matrix adds its rounding.  A sample costs
 O(sum r_k), and a run factors nothing but the blocks (see _Eigenframe).
 The samples are evaluated as array operations over a leading time axis,
 in chunks of about _CHUNK array elements, so a run's transient memory
-does not grow with its length.
-The dense d(t), b(t) and D(t) are built only when a state's d, b or dirac
-is read.
+does not grow with its length.  A run is returned as a Trajectory: the
+shared factors and one float column per diagnostic, so a sample costs five
+floats.  Its items, DeformationState, are built when read, and the dense
+d(t), b(t) and D(t) only when an item's d, b or dirac is read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, Context
 
@@ -58,11 +61,15 @@ from .operators import Operators, place
 _CHUNK = 2**14
 
 # lax_deform refuses a run of more samples than this, before it factors
-# anything: every state is retained, about 430 bytes a sample with the
-# CSV that deform renders from them (measured at 10**5 samples), so 2**22
-# samples take about 1.8 GB, and a T = 1e4, h = 0.01 run (10**6 + 1
-# samples) still fits
+# anything: every sample is retained, about 95 bytes a sample with the CSV
+# that deform renders from them (its five float columns and the text; peak
+# RSS of deform on ER(30, .25) at 10**6 samples less that at 10**3, 134 and
+# 43 MB), so 2**22 samples take about 400 MB and 20 s on a 2-core x86_64
+# box, and a T = 1e4, h = 0.01 run (10**6 + 1 samples) still fits
 SAMPLE_BUDGET = 2**22
+
+# trajectory_csv formats this many rows at a time
+_ROWS = 2**14
 
 
 def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray) -> Cochain:
@@ -76,6 +83,8 @@ def poisson_solve(ops: Operators, k: int, j: Cochain | np.ndarray) -> Cochain:
     eigs, vecs = ops.block_eigensystems[k]
     if values.shape != eigs.shape:
         raise ValueError(f"right-hand side length {values.size} does not match stratum {k}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("right-hand side has a non-finite entry")
     positive = nonzero(eigs)
     coeffs = vecs.T @ values
     knorm = float(np.linalg.norm(coeffs[~positive]))
@@ -289,15 +298,15 @@ class _Eigenframe:
 
 @dataclass(frozen=True)
 class DeformationState:
-    """One sample of the Lax flow with its diagnostics.
+    """One sample of the Lax flow with its diagnostics: an item of a Trajectory.
 
-    A state keeps t, the diagnostics of the factor form Z M(t) Z^T at t
-    and a reference to the run's shared LaxFactors, never a matrix, so its
-    size does not depend on v or on the length of the run.  d, b and dirac
-    rebuild a fresh dense v x v array from the factors on every read; bind
-    the result once.  A rebuild adds rounding of order gamma sum |a|
-    (Higham's gamma_n, n = max r_k + 2), which the diagnostics do not
-    include.
+    A state is built when a Trajectory item is read.  It keeps t, the
+    diagnostics of the factor form Z M(t) Z^T at t and a reference to the
+    run's shared LaxFactors, never a matrix, so its size does not depend on
+    v.  d, b and dirac rebuild a fresh dense v x v array from the factors
+    on every read; bind the result once.  A rebuild adds rounding of order
+    gamma sum |a| (Higham's gamma_n, n = max r_k + 2), which the
+    diagnostics do not include.
     """
 
     t: float
@@ -320,6 +329,35 @@ class DeformationState:
         return self.factors.dense(*self.factors.blocks(self.t), adjoint=True)
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """The samples of one Lax run, as float64 columns over a shared LaxFactors.
+
+    Entry i of each column belongs to the sample at t[i].  A trajectory is
+    a sequence of DeformationState: an int index (negative too) builds the
+    state when it is read, a slice returns a list of them, and iteration
+    builds one at a time.  It holds five floats a sample and no object per
+    sample.
+    """
+
+    factors: LaxFactors
+    t: np.ndarray
+    tr_m: np.ndarray
+    spectrum_error: np.ndarray
+    nilpotency_error: np.ndarray
+    laplacian_error: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        return DeformationState(float(self.t[i]), self.factors, float(self.tr_m[i]), float(self.spectrum_error[i]),
+                                float(self.nilpotency_error[i]), float(self.laplacian_error[i]))
+
+
 def lax_deform(
     ops: Operators,
     t_final: float,
@@ -327,11 +365,11 @@ def lax_deform(
     variant: str = "real",
     nilpotency_bound: float = 1e-8,
     spectrum_bound: float = 1e-6,
-) -> list[DeformationState]:
+) -> Trajectory:
     """The isospectral deformation from d(0) = d, b(0) = 0, sampled at t = i h.
 
     The flow is evaluated in closed form (see the module docstring) at
-    every t = i h up to round(t_final / h) h.  Each state records tr_m and
+    every t = i h up to round(t_final / h) h.  Each sample records tr_m and
     three certified upper bounds on the residuals of D(t) = Z M(t) Z^T, the
     factor form that the run's float factors and coefficients define
     exactly (not a dense matrix rebuilt from it): spectrum_error on the
@@ -340,10 +378,12 @@ def lax_deform(
     per run from the factors and the blocks d_k (see _Eigenframe), so the
     run factors nothing but the blocks and a sample forms no matrix.
     The times are evaluated in chunks of _CHUNK // R samples for R triples,
-    and each state's diagnostics are bit for bit those of its t alone.
-    Nilpotency or spectral drift beyond its bound is a bug and raises
-    ConsistencyError.  A run of more than SAMPLE_BUDGET samples raises
-    CapacityError before anything is factored.
+    written into the preallocated columns of the returned Trajectory, and
+    each sample's diagnostics are bit for bit those of its t alone.
+    Nilpotency or spectral drift that is not within its bound (NaN included)
+    is a bug and raises ConsistencyError naming the first such sample.  The
+    bounds must be positive (inf turns a gate off).  A run of more than
+    SAMPLE_BUDGET samples raises CapacityError before anything is factored.
     """
     if t_final <= 0 or h <= 0:
         raise ValueError("t_final and h must be positive")
@@ -351,6 +391,8 @@ def lax_deform(
         raise ValueError(f"t_final / h = {t_final / h} is not a finite number of samples")
     if variant not in ("real", "complexified"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not (nilpotency_bound > 0 and spectrum_bound > 0):
+        raise ValueError(f"the bounds must be positive, not {nilpotency_bound} and {spectrum_bound}")
     samples = round(t_final / h) + 1
     if samples > SAMPLE_BUDGET:
         raise CapacityError(
@@ -359,20 +401,22 @@ def lax_deform(
     factors = _lax_factors(ops, variant == "complexified")
     frame = _eigenframe(factors, ops)
     times = np.arange(samples) * h  # = i * h, bit for bit
+    columns = [np.empty(samples) for _ in range(4)]
+    traj = Trajectory(factors, times, *columns)
     size = max(1, _CHUNK // max(1, frame.singular.size))
-    states = []
-    for chunk in (times[lo:lo + size] for lo in range(0, times.size, size)):
-        columns = [np.broadcast_to(x, chunk.shape).tolist()
-                   for x in frame.diagnostics(factors.coefficients(chunk))]
-        for t, *diagnostics in zip(chunk.tolist(), *columns):
-            state = DeformationState(t, factors, *diagnostics)
-            if state.nilpotency_error > nilpotency_bound or state.spectrum_error > spectrum_bound:
-                raise ConsistencyError(
-                    f"Lax state at t = {state.t:g} breaches its bounds: nilpotency"
-                    f" {state.nilpotency_error:.3e}, spectral drift {state.spectrum_error:.3e}"
-                )
-            states.append(state)
-    return states
+    for lo in range(0, samples, size):
+        hi = lo + size
+        for column, x in zip(columns, frame.diagnostics(factors.coefficients(times[lo:hi]))):
+            column[lo:hi] = x
+        nilpotency, spectrum = traj.nilpotency_error[lo:hi], traj.spectrum_error[lo:hi]
+        breach = ~((nilpotency <= nilpotency_bound) & (spectrum <= spectrum_bound))
+        if breach.any():
+            state = traj[lo + int(np.argmax(breach))]
+            raise ConsistencyError(
+                f"Lax state at t = {state.t:g} breaches its bounds: nilpotency"
+                f" {state.nilpotency_error:.3e}, spectral drift {state.spectrum_error:.3e}"
+            )
+    return traj
 
 
 def _lax_factors(ops: Operators, complexified: bool) -> LaxFactors:
@@ -414,16 +458,30 @@ def _eigenframe(factors: LaxFactors, ops: Operators) -> _Eigenframe:
     return replace(frame, residual=(2.0 * square) ** 0.5 + rounding)
 
 
-def trajectory_csv(states: list[DeformationState]) -> str:
-    """CSV with one diagnostics row per sample.
+def trajectory_csv(traj: Trajectory) -> str:
+    """CSV with one diagnostics row per sample of a trajectory.
 
-    spectrumError and nilpotencyError are the state's spectrum_error and
+    spectrumError and nilpotencyError are the columns spectrum_error and
     nilpotency_error: certified upper bounds on max |eig D(t) - eig D| and
     max |d(t)^2| for the exact factor form D(t) = Z M(t) Z^T, not measured
     residuals of a rebuilt matrix.  Both are rounded up to 3 significant
-    digits, so they stay upper bounds.
+    digits, so they stay upper bounds.  The rows are formatted _ROWS at a
+    time, and each distinct value of a bound column in them is rounded once.
     """
     up = Context(prec=3, rounding=ROUND_CEILING).create_decimal_from_float
-    rows = [f"{s.t:.6f},{s.tr_m:.12g},{up(s.spectrum_error):g},{up(s.nilpotency_error):g}"
-            for s in states]
-    return "\n".join(["t,trM,spectrumError,nilpotencyError"] + rows) + "\n"
+
+    def rounded(column):
+        # one string per distinct bit pattern, so 0.0 and -0.0 keep their own
+        bits, index = np.unique(np.asarray(column, dtype=float).view(np.uint64), return_inverse=True)
+        strings = np.array([f"{up(x):g}" for x in bits.view(float).tolist()], dtype=object)
+        return strings[index].tolist()
+
+    parts = ["t,trM,spectrumError,nilpotencyError"]
+    for lo in range(0, len(traj), _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        parts.append("\n".join(
+            f"{t:.6f},{m:.12g},{s},{n}"
+            for t, m, s, n in zip(traj.t[rows].tolist(), traj.tr_m[rows].tolist(),
+                                  rounded(traj.spectrum_error[rows]), rounded(traj.nilpotency_error[rows]))))
+    parts.append("")  # the final newline, without a second copy of the text
+    return "\n".join(parts)

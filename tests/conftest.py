@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -326,6 +327,19 @@ def lefschetz_zeta_power_loop(ops, t, z, order=40):
         power = compose(t, power)
         total += trace_lefschetz(lefschetz(ops, power).traces) * z ** n / n
     return complex(np.exp(total))
+
+
+def row_trajectory_csv(states) -> str:
+    """The deform CSV built row by row from each state's own fields.
+
+    The oracle for dynamics.trajectory_csv, which formats from the columns
+    of a Trajectory: both round spectrumError and nilpotencyError up to 3
+    significant digits with the same decimal context.
+    """
+    up = Context(prec=3, rounding=ROUND_CEILING).create_decimal_from_float
+    rows = [f"{s.t:.6f},{s.tr_m:.12g},{up(s.spectrum_error):g},{up(s.nilpotency_error):g}"
+            for s in states]
+    return "\n".join(["t,trM,spectrumError,nilpotencyError"] + rows) + "\n"
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from collections.abc import Sequence
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from diracgraph import (
     Cochain,
     ConsistencyError,
     SimpleGraph,
+    Trajectory,
     UnsolvableError,
     WaveState,
     harmonic_basis,
@@ -30,7 +32,7 @@ from diracgraph import (
 from diracgraph import dynamics
 from diracgraph.operators import place
 
-from conftest import dense_lax_deform, erdos_renyi, exact_lax_blocks, octahedron
+from conftest import dense_lax_deform, erdos_renyi, exact_lax_blocks, octahedron, row_trajectory_csv
 
 
 def _random_cochain(ops, k, seed=0, complex_valued=False):
@@ -294,23 +296,45 @@ def test_consistency_error_names_the_first_breach_in_a_later_chunk(example_ops, 
 
 
 def test_transient_memory_does_not_grow_with_run_length():
-    # the peak above what the returned states hold stays put when the run
-    # is ten times longer, because the samples are evaluated in chunks
+    # the peak above what the returned trajectory holds stays put when the
+    # run is ten times longer, because the samples are evaluated in chunks;
+    # and the trajectory holds its five float columns, not an object per
+    # sample (a DeformationState per sample would take about 330 bytes)
     ops = operators_for(erdos_renyi(30, 0.25, random.Random(1)))
     lax_deform(ops, 1.0, 0.01)  # the first LAPACK calls allocate too
 
-    def transient(t_final):
+    def traced(t_final):
         tracemalloc.start()
         try:
-            states = lax_deform(ops, t_final, 0.01)
+            traj = lax_deform(ops, t_final, 0.01)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(states) == round(t_final / 0.01) + 1
-        return peak - current
+        assert len(traj) == round(t_final / 0.01) + 1
+        return current, peak - current
 
-    short, long = transient(5.0), transient(50.0)
+    (held_short, short), (held_long, long) = traced(5.0), traced(50.0)
     assert long <= 1.5 * short, (short, long)
+    assert held_long - held_short <= 64 * 4500, (held_short, held_long)
+
+
+def test_trajectory_is_a_sequence_of_states(example_ops):
+    traj = lax_deform(example_ops, 1.0, 0.1, variant="complexified")
+    assert isinstance(traj, Sequence) and len(traj) == 11
+    fields = ("t", "tr_m", "spectrum_error", "nilpotency_error", "laplacian_error")
+    states = list(traj)
+    assert len(states) == 11
+    for i, s in enumerate(states):
+        assert s.factors is traj.factors
+        assert [getattr(s, f) for f in fields] == [getattr(traj, f)[i] for f in fields]
+        assert all(type(getattr(s, f)) is float for f in fields)
+        assert traj[i] == s == traj[i - len(traj)]
+    assert traj[-1].t == 1.0
+    assert traj[::3] == states[::3] and traj[-2:] == states[-2:]
+    with pytest.raises(IndexError):
+        traj[len(traj)]
+    with pytest.raises(IndexError):
+        traj[-len(traj) - 1]
 
 
 def _dense_drift(ops, state):
@@ -492,6 +516,28 @@ def test_lax_input_validation(example_ops):
         lax_deform(example_ops, 1.0, 0.01, variant="imaginary")
     with pytest.raises(ValueError, match="t_final / h = inf is not a finite number of samples"):
         lax_deform(example_ops, 1e300, 1e-300)
+    # a NaN bound compares false with every diagnostic and would turn its gate off
+    for bounds in ({"nilpotency_bound": np.nan}, {"spectrum_bound": np.nan}, {"spectrum_bound": 0.0},
+                   {"nilpotency_bound": -1.0}):
+        with pytest.raises(ValueError, match="the bounds must be positive"):
+            lax_deform(example_ops, 1.0, 0.1, **bounds)
+    assert len(lax_deform(example_ops, 1.0, 0.1, nilpotency_bound=np.inf, spectrum_bound=np.inf)) == 11
+
+
+@pytest.mark.parametrize("part", ["a", "beta"])
+def test_nan_diagnostic_breaches_the_bounds(example_ops, monkeypatch, part):
+    # a NaN in a(t) reaches the nilpotency bound and a NaN in beta(t) the
+    # spectral one; NaN is not within any bound
+    onset = 0.3
+    exact = dynamics.LaxFactors.coefficients
+
+    def poisoned(self, t):
+        nan = np.where(np.asarray(t) >= onset - 1e-12, np.nan, 1.0)[..., None]
+        return [(nan * a, beta) if part == "a" else (a, nan * beta) for a, beta in exact(self, t)]
+
+    monkeypatch.setattr(dynamics.LaxFactors, "coefficients", poisoned)
+    with pytest.raises(ConsistencyError, match=re.escape(f"Lax state at t = {onset:g} breaches")):
+        lax_deform(example_ops, 1.0, 0.1)
 
 
 def test_sample_budget_is_checked_before_factoring(example_ops, monkeypatch):
@@ -515,10 +561,12 @@ def test_sample_budget_is_checked_before_factoring(example_ops, monkeypatch):
 
 @pytest.mark.parametrize("call, message", [
     (lambda ops: poisson_solve(ops, 1, np.ones(3)), "length 3 does not match stratum 1"),
+    (lambda ops: poisson_solve(ops, 0, np.full(7, np.nan)), "non-finite entry"),
+    (lambda ops: poisson_solve(ops, 0, np.r_[np.ones(6), np.inf]), "non-finite entry"),
     (lambda ops: heat_evolve(ops, Cochain(0, np.ones(7)), -0.5), "t >= 0"),
     (lambda ops: WaveState(Cochain(0, np.ones(7)), Cochain(1, np.ones(9))), "share a degree"),
     (lambda ops: schrodinger_evolve(ops, np.ones(17), 1.0), "length 18"),
-], ids=["poisson length", "heat t < 0", "wave degrees", "schrodinger length"])
+], ids=["poisson length", "poisson nan", "poisson inf", "heat t < 0", "wave degrees", "schrodinger length"])
 def test_linear_flow_input_validation(example_ops, call, message):
     with pytest.raises(ValueError, match=message):
         call(example_ops)
@@ -561,3 +609,29 @@ def test_trajectory_csv_rounds_the_bounds_up(example_ops):
         for text, value in ((row[2], s.spectrum_error), (row[3], s.nilpotency_error)):
             assert float(text) >= value
             assert len(text.split("e")[0].replace(".", "").lstrip("0")) <= 3
+
+
+def test_trajectory_csv_matches_the_row_oracle(example_ops):
+    # hand-made columns: exact short decimals, both sides of 1e-6 (where the
+    # output switches between positional and exponent form), one ulp either
+    # side of a 3-digit value, carries from 999 to 1000, signed zeros, long
+    # runs of one value, and more rows than one formatting chunk
+    ulp = np.nextafter
+    special = [0.0, -0.0, 0.5, 1.0, 1.25, ulp(1.25, 0), ulp(1.25, 2), 9.99, ulp(9.99, 10), 999.0,
+               ulp(999.0, 1e3), 0.0009995, 1e-6, ulp(1e-6, 0), ulp(1e-6, 1), 9.995e-7, 1.0001e-6,
+               1e-13, 2.5e-15, 5e-324, 1e300, np.inf, np.nan]
+    n = 2 * dynamics._ROWS + 37
+    rng = np.random.default_rng(3)
+    runs = np.repeat(special, n // len(special) + 1)[:n]  # runs of about 1,400 equal values
+    mixed = rng.choice(special + list(rng.uniform(0, 1e-12, 50)), size=n)
+    tr_m = rng.uniform(0.0, 60.0, n)
+    tr_m[:len(special)] = special
+    traj = Trajectory(dynamics._lax_factors(example_ops, False), np.arange(n) * 0.01, tr_m,
+                      runs, mixed, np.zeros(n))
+    assert trajectory_csv(traj) == row_trajectory_csv(traj)
+    swapped = replace(traj, spectrum_error=mixed, nilpotency_error=runs)
+    assert trajectory_csv(swapped) == row_trajectory_csv(swapped)
+    one = replace(traj, **{f: getattr(traj, f)[:1] for f in
+                           ("t", "tr_m", "spectrum_error", "nilpotency_error", "laplacian_error")})
+    assert trajectory_csv(one) == row_trajectory_csv(one)
+
