@@ -12,41 +12,163 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, fsum, isinf, log, prod
+from functools import cache
+from math import exp, fsum, isinf, isqrt, log, log2, prod
 from numbers import Integral
+from operator import mul
 
 import numpy as np
 
 from .complexes import CliqueComplex, SimpleGraph, build_complex, simplex_graph
-from .errors import ComputationError, GraphMismatchError
+from .errors import CapacityError, ComputationError, GraphMismatchError
 from .hodge import nonzero
 from .operators import Operators, build_operators
+
+
+# charpoly_int works modulo primes 2**19 < p < 2**20 in float64, exact for
+# order n < 2**13 (see _faddeev_leverrier_mod)
+_MAX_ORDER = 2**13
+# the primes are processed in groups whose (primes, n, n) stacks hold at most
+# this many elements (three float64 stacks of 8 MB each), or one prime's
+# n * n when that is more
+_STACK = 2**20
 
 
 def charpoly_int(m) -> list[int]:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
-    Faddeev-LeVerrier over Python integers (object-dtype products); every
-    interior division is exact.  Coefficients are returned in descending
-    powers, leading 1.  Raises ValueError unless M is a square 2-D array of
-    integral entries; integral floats such as 2.0 are accepted.
+    Faddeev-LeVerrier modulo word-size primes, all primes of a group at once
+    on one float64 stack, joined by the Chinese remainder theorem into
+    symmetric residues.  Hadamard's inequality on each principal minor bounds
+    every coefficient by prod_i (1 + r_i) for the row 2-norms r_i, and enough
+    primes are taken that their product exceeds twice that bound, so the
+    result is exact for any square integer matrix.  Coefficients are
+    returned in descending powers, leading 1.  Raises ValueError unless M is
+    a square 2-D array of integral entries (integral floats such as 2.0 are
+    accepted), and CapacityError for order 2**13 or more, where float64
+    products stop being exact, before converting anything.
     """
+    a = _integer_matrix(m)
+    if len(a) == 0:
+        return [1]
+    # one bit for the sign of a symmetric residue; the float sums of log2
+    # err by far less than the 2**-10 bit added for them
+    need = _coefficient_bits(a) + 1 + 2**-10
+    for window in (2**14, 2**19):
+        primes, log2_cumulative = _prime_table(window)
+        count = int(np.searchsorted(log2_cumulative, need)) + 1
+        if count <= len(primes):
+            return _charpoly(a, primes[:count])
+    raise CapacityError(
+        f"charpoly_int: a coefficient bound of 2**{need:.0f} needs more primes than lie in (2**19, 2**20)"
+    )
+
+
+def _integer_matrix(m) -> np.ndarray:
+    """M as a square int64 array, or as an object array of Python ints beyond int64."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"charpoly_int expects a square 2-D array, got shape {a.shape}")
-    entries = a.ravel().tolist()
-    if not all(isinstance(x, Integral) or isinstance(x, float) and x.is_integer() for x in entries):
+    if len(a) >= _MAX_ORDER:
+        raise CapacityError(f"charpoly_int is exact for order below {_MAX_ORDER}, got {len(a)}")
+    if a.dtype.kind == "f":
+        integral = np.isfinite(a).all() and (a == np.trunc(a)).all()
+    elif a.dtype == object:
+        integral = all(isinstance(x, Integral) or isinstance(x, float) and x.is_integer() for x in a.flat)
+    else:
+        integral = a.dtype.kind in "biu"
+    if not integral:
         raise ValueError("charpoly_int expects integral entries")
-    a = np.array([int(x) for x in entries], dtype=object).reshape(a.shape)
+    if np.can_cast(a.dtype, np.int64) or a.size == 0 or -(2**63) <= int(a.min()) and int(a.max()) < 2**63:
+        return a.astype(np.int64)
+    return np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
+
+
+def _coefficient_bits(a: np.ndarray) -> float:
+    """log2 prod_i (1 + r_i), r_i the ceiling of row i's 2-norm, from exact integers.
+
+    Hadamard's inequality bounds each principal k-minor by the product of
+    its rows' norms, so |c_k| <= e_k(r) <= prod_i (1 + r_i).
+    """
+    if a.dtype == object or a.min() < -(2**25) or a.max() > 2**25:
+        squares = (a.astype(object) ** 2).sum(axis=1)
+    else:
+        squares = np.einsum("ij,ij->i", a, a)  # at most n 2**50 < 2**63
+    return sum(log2(1 + r + (r * r < s)) for s in squares.tolist() for r in (isqrt(s),))
+
+
+@cache
+def _prime_table(window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes in [2**20 - window, 2**20), largest first, and the running sums of their log2.
+
+    Sieved on first use, so importing the module builds nothing; the window
+    of 2**14 (1,181 primes, 23,606 bits) costs about 0.1 ms, the whole
+    range above 2**19 about 2 ms.
+    """
+    lo = 2**20 - window
+    small = np.ones(2**10, dtype=bool)  # the primes up to sqrt(2**20)
+    small[:2] = False
+    for q in range(2, 2**5):
+        if small[q]:
+            small[q * q :: q] = False
+    composite = np.zeros(window, dtype=bool)
+    for q in np.flatnonzero(small).tolist():
+        composite[-lo % q :: q] = True
+    primes = (lo + np.flatnonzero(~composite))[::-1]
+    table = primes, np.cumsum(np.log2(primes))
+    for column in table:
+        column.setflags(write=False)  # the cache hands the same arrays to every caller
+    return table
+
+
+def _charpoly(a: np.ndarray, primes: np.ndarray) -> list[int]:
+    """det(xI - A) from its residues modulo primes whose product exceeds twice every |c_k|."""
     n = len(a)
-    mk = np.eye(n, dtype=object)
-    coeffs = [1]
-    for k in range(1, n + 1):
-        mk = a @ mk
-        c = -(sum(mk.diagonal()) // k)
-        coeffs.append(c)
-        mk.flat[:: n + 1] += c
-    return coeffs
+    group = max(1, _STACK // (n * n))
+    residues = np.concatenate(
+        [_faddeev_leverrier_mod(a, primes[i : i + group]) for i in range(0, len(primes), group)]
+    )
+    ps = primes.tolist()
+    modulus = prod(ps)
+    weights = [modulus // p * pow(modulus // p, -1, p) for p in ps]
+    joined = [sum(map(mul, column, weights)) % modulus for column in residues.T.tolist()]
+    return [1] + [c - modulus if 2 * c > modulus else c for c in joined]
+
+
+def _faddeev_leverrier_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """c_1 .. c_n of det(xI - A) modulo each prime p in (n, 2**20), shape (primes, n).
+
+    Faddeev-LeVerrier, M_1 = A and M_(k+1) = A (M_k + c_k I) with
+    c_k = -tr(M_k) / k, for every prime at once: one batched float64 matmul
+    and one reduction mod p per step.  A holds residues in [0, p) and
+    M_k + c_k I integers of magnitude at most p - 1 off the diagonal and
+    2(p - 1) on it, so every partial sum of a product has magnitude at most
+    (n + 1)(p - 1)**2, which is below 2**53 for n < 2**13 and p < 2**20:
+    each matmul is exact.
+    """
+    count, n = len(primes), len(a)
+    p = primes.astype(float)[:, None]
+    am = (a % primes.astype(a.dtype)[:, None, None]).astype(float)
+    mk, scratch = am.copy(), np.empty_like(am)
+    neg_inverses = np.array([[-pow(k, -1, q) % q for q in primes.tolist()] for k in range(1, n + 1)])
+    coeffs = []
+    for k in range(n):
+        if k:
+            np.matmul(am, mk, out=scratch)
+            mk, scratch = scratch, mk
+            # x - p floor(x / p) is x mod p up to one multiple of p: fl(x / p)
+            # rounds to nearest, so its floor is the true quotient or one
+            # above it.  The result lies in (-p, p), and p floor(x / p) is an
+            # integer of magnitude at most |x| + p < 2**53: the reduction is exact.
+            flat, tmp = mk.reshape(count, -1), scratch.reshape(count, -1)
+            np.divide(flat, p, out=tmp)
+            np.floor(tmp, out=tmp)
+            tmp *= p
+            flat -= tmp
+        diag = mk.reshape(count, -1)[:, :: n + 1]
+        coeffs.append(diag.sum(axis=1).astype(np.int64) * neg_inverses[k] % primes)
+        diag += coeffs[-1][:, None]
+    return np.stack(coeffs, axis=1)
 
 
 def dirac_charpoly(ops: Operators) -> list[int]:
@@ -57,6 +179,8 @@ def dirac_charpoly(ops: Operators) -> list[int]:
     det(xI - D) = x^(v - 2R) * prod_k q_k(x^2), where q_k is the
     characteristic polynomial of the smaller Gram matrix of d_k with its
     trailing zero coefficients dropped and R = sum_k deg q_k = rank d.
+    Each q_k is charpoly_int's, exact modulo primes, so a Gram of order
+    2**13 or more raises CapacityError.
     """
     p = np.ones(1, dtype=object)
     for b in ops.dblocks:
@@ -156,8 +280,9 @@ def cauchy_binet_coeffs(f, g, k: int):
     For n x m matrices F, G this is the k-th elementary symmetric function
     of the eigenvalues of F^T G, i.e. (-1)^k times the x^(m-k) coefficient
     of det(xI - F^T G).  Integer inputs are exact: F^T G is formed over
-    Python ints and passed to charpoly_int.  Other inputs use np.poly in
-    floating point.
+    Python ints, so no product overflows, and charpoly_int computes its
+    characteristic polynomial modulo primes (m below 2**13, else
+    CapacityError).  Other inputs use np.poly in floating point.
     """
     fa = np.asarray(f)
     ga = np.asarray(g)

@@ -260,6 +260,26 @@ def det_fraction(rows) -> Fraction:
     return det
 
 
+def faddeev_leverrier_charpoly(m) -> list[int]:
+    """det(xI - M) of an integer matrix by Faddeev-LeVerrier over Python integers.
+
+    The oracle for spectra.charpoly_int, which works modulo primes: here
+    every product is an exact Python integer and every interior division is
+    exact, so no modulus and no coefficient bound are involved.
+    """
+    m = np.asarray(m)
+    a = np.array([int(x) for x in m.ravel().tolist()], dtype=object).reshape(m.shape)
+    n = len(a)
+    mk = np.eye(n, dtype=object)
+    coeffs = [1]
+    for k in range(1, n + 1):
+        mk = a @ mk
+        c = -(sum(mk.diagonal()) // k)
+        coeffs.append(c)
+        mk.flat[:: n + 1] += c
+    return coeffs
+
+
 def cauchy_binet_minor_sum(f, g, k: int) -> int:
     """Sum of det(F_P) det(G_P) over every k x k row/column selection P (exact)."""
     f, g = np.asarray(f), np.asarray(g)

@@ -319,7 +319,7 @@ def test_exit_code_computation_error(tmp_path, capsys):
                                                ("analyze", "Det(D)^2")], ids=["trees", "analyze"])
 def test_float_overflow_at_scale_exits_computation(tmp_path, capsys, command, quantity):
     # ER(100, .1) has 806 simplices: pseudo_det(L) and Det(D)^2 overflow a double,
-    # and analyze says so before its exact charpoly, which takes about 90 s here
+    # and analyze says so before its exact charpoly, which takes about 2 s here
     g = erdos_renyi(100, 0.1, random.Random(1))
     path = tmp_path / "er100.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))

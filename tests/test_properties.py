@@ -35,6 +35,7 @@ from conftest import (
     betti_exact,
     brute_chi,
     complete_dirac_pair,
+    faddeev_leverrier_charpoly,
     index_expectation_brute,
     lefschetz_zeta_power_loop,
     octahedron,
@@ -59,6 +60,25 @@ def small_graphs(draw, max_n=6):
 def test_dirac_charpoly_matches_dense_charpoly(g):
     ops = operators_for(g)
     assert dirac_charpoly(ops) == charpoly_int(ops.dirac)
+
+
+@st.composite
+def integer_matrices(draw, max_n=12):
+    """Square integer matrices, symmetric or not: int64, integral float64, or object ints up to 2^70."""
+    n = draw(st.integers(0, max_n))
+    dtype, max_bits = draw(st.sampled_from([(np.int64, 62), (np.float64, 60), (object, 70)]))
+    bound = 2 ** draw(st.integers(1, max_bits))
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=n * n, max_size=n * n))
+    a = np.array(entries, dtype=dtype).reshape(n, n)
+    return np.triu(a) + np.triu(a, 1).T if draw(st.booleans()) else a
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(integer_matrices())
+@example(np.full((12, 12), -(2**70), dtype=object))
+@example(np.arange(144, dtype=np.float64).reshape(12, 12) * 2.0**50)
+def test_charpoly_int_matches_the_faddeev_leverrier_oracle(a):
+    assert charpoly_int(a) == faddeev_leverrier_charpoly(a)
 
 
 @PROPERTY_SETTINGS

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from diracgraph import (
+    CapacityError,
     ComputationError,
     GraphMismatchError,
     SimpleGraph,
@@ -36,6 +37,7 @@ from conftest import (
     cauchy_binet_minor_sum,
     det_fraction,
     erdos_renyi,
+    faddeev_leverrier_charpoly,
     icosahedron,
     octahedron,
     random_suite,
@@ -82,6 +84,61 @@ def test_charpoly_rejects_non_integer_input():
                 [1, 2], [[1, 2, 3], [4, 5, 6]]):
         with pytest.raises(ValueError):
             charpoly_int(np.array(bad))
+
+
+def test_charpoly_accepts_every_integer_dtype():
+    # bool, narrow ints, uint64 beyond int64, integral floats beyond int64,
+    # and object arrays mixing Python, numpy and float integers
+    for a in (np.array([[True, False], [True, True]]),
+              np.array([[1, -2], [3, 4]], dtype=np.int8),
+              np.array([[2**64 - 1, 1], [0, 2]], dtype=np.uint64),
+              np.array([[2.0**70, 1.0], [3.0, -(2.0**66)]]),
+              np.array([[2**70, np.int64(3)], [1.0, -5]], dtype=object)):
+        assert charpoly_int(a) == faddeev_leverrier_charpoly(a)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_charpoly_of_a_scalar_matrix_meets_its_bound(n):
+    # det(xI - cI) = sum_k C(n, k) (-c)^k x^(n-k): the absolute coefficients
+    # sum to (1 + c)^n, exactly the product prod(1 + r_i) that sizes the
+    # primes, and c^n = 2^(40 n) needs up to 17 of them
+    c = 2**40
+    expected = [math.comb(n, k) * (-c) ** k for k in range(n + 1)]
+    assert charpoly_int(np.eye(n, dtype=np.int64) * c) == expected
+    assert charpoly_int(np.eye(n, dtype=object) * -c) == [abs(x) for x in expected]
+
+
+def test_charpoly_prime_sets_and_groups_agree(monkeypatch):
+    # two disjoint prime sets, each above twice the coefficient bound, give
+    # the same integers; so does one prime per group
+    rng = np.random.default_rng(7)
+    a = rng.integers(-50, 51, size=(10, 10))
+    expected = faddeev_leverrier_charpoly(a)
+    primes, _ = spectra._prime_table(2**14)
+    assert spectra._charpoly(a, primes[:6]) == spectra._charpoly(a, primes[6:12]) == expected
+    monkeypatch.setattr(spectra, "_STACK", 1)
+    assert spectra._charpoly(a, primes[20:26]) == expected
+
+
+def test_charpoly_primes_leave_room_for_the_sign():
+    # c just above half the product M of the k largest primes: modulo M alone
+    # the symmetric residue of -c reads as M - c, so the bound's sign bit
+    # must call for one more prime
+    primes, _ = spectra._prime_table(2**14)
+    for k in (1, 2, 5):
+        c = math.prod(primes[:k].tolist()) // 2 + 1
+        assert charpoly_int(np.array([[c]], dtype=object)) == [1, -c]
+        assert charpoly_int(np.array([[-c]], dtype=object)) == [1, c]
+
+
+def test_charpoly_size_limits_raise_capacity_error():
+    # order 2^13 is where float64 products stop being exact; the view holds
+    # no memory, so the check runs before anything is converted
+    with pytest.raises(CapacityError):
+        charpoly_int(np.broadcast_to(np.int64(0), (8192, 8192)))
+    # a coefficient bound beyond the product of every prime in (2^19, 2^20)
+    with pytest.raises(CapacityError):
+        charpoly_int(np.array([[2**800_000]], dtype=object))
 
 
 def test_charpoly_matches_principal_minor_oracle():
