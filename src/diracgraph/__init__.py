@@ -67,12 +67,16 @@ from .hodge import (
 )
 from .morphisms import (
     LefschetzReport,
+    SimplexAction,
     automorphisms,
     compose,
     induced_cohomology_map,
     is_automorphism,
     lefschetz,
+    lefschetz_reports,
     lefschetz_zeta,
+    lefschetz_zetas,
+    simplex_action,
 )
 from .operators import (
     Operators,

@@ -238,10 +238,12 @@ def cmd_deform(args):
 def cmd_lefschetz(args):
     g, c, ops = _ops(args)
     maps = morphisms.automorphisms(g)
+    action = morphisms.simplex_action(c, maps)
+    reports = morphisms.lefschetz_reports(ops, action)
+    zetas = morphisms.lefschetz_zetas(action, args.z) if args.z is not None else [None] * len(maps)
     entries = []
     zeta_product = 1.0 + 0j
-    for t in maps:
-        rep = morphisms.lefschetz(ops, t)
+    for t, rep, zt in zip(maps, reports, zetas):
         entry = {
             "permutation": [t[v] for v in g.vertices],
             "lefschetz": rep.lefschetz,
@@ -250,8 +252,7 @@ def cmd_lefschetz(args):
                 {"simplex": list(x), "index": i} for x, i in rep.fixed_simplices
             ],
         }
-        if args.z is not None:
-            zt = morphisms.lefschetz_zeta(ops, t, args.z)
+        if zt is not None:
             entry["zeta"] = zt
             zeta_product *= zt
         entries.append(entry)

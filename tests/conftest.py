@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context
 from fractions import Fraction
@@ -24,6 +25,7 @@ from diracgraph import (
     build_complex,
     compose,
     example_graph,
+    harmonic_basis,
     lefschetz,
     morphisms,
     operators_for,
@@ -47,14 +49,16 @@ def example_ops(example):
 
 @pytest.fixture
 def corrupted_trace(monkeypatch):
-    """Add 1 to the degree-1 trace of every induced cohomology map."""
-    honest = morphisms.induced_cohomology_map
+    """Add 1 to the degree-1 trace of every induced cohomology map.
 
-    def off_by_one(ops, t, k):
-        m = honest(ops, t, k)
-        return m + np.eye(len(m)) if k == 1 else m
+    Every induced map, batched or not, is formed by morphisms._induced_maps."""
+    honest = morphisms._induced_maps
 
-    monkeypatch.setattr(morphisms, "induced_cohomology_map", off_by_one)
+    def off_by_one(ops, action, k):
+        maps = honest(ops, action, k)
+        return [m + np.eye(len(m)) for m in maps] if k == 1 else maps
+
+    monkeypatch.setattr(morphisms, "_induced_maps", off_by_one)
 
 
 def octahedron() -> SimpleGraph:
@@ -337,6 +341,74 @@ def complete_dirac_pair(g: SimpleGraph, h: SimpleGraph) -> tuple[np.ndarray, np.
 def trace_lefschetz(traces) -> int:
     """The Lefschetz number as the rounded alternating sum of cohomology traces."""
     return round(sum((-1) ** k * tr for k, tr in enumerate(traces)))
+
+
+def map_simplex(t, x, position):
+    """Image simplex in canonical order, and the sign of the sorting permutation."""
+    keys = [position[t[v]] for v in x]
+    inversions = sum(a > b for a, b in combinations(keys, 2))
+    return tuple(sorted((t[v] for v in x), key=position.__getitem__)), (-1) ** inversions
+
+
+def pullback_matrix(ops, t, k) -> np.ndarray:
+    """Matrix of f -> T*f on k-cochains in stratum order, one simplex at a time."""
+    c = ops.complex
+    m = np.zeros((c.count(k), c.count(k)))
+    for i, x in enumerate(c.stratum(k)):
+        image, sign = map_simplex(t, x, c.host.position)
+        m[i, c.local_index[k][image]] = sign
+    return m
+
+
+def simplex_cycles(c, t) -> list[tuple[tuple[int, ...], int, int]]:
+    """The cycles of T on the simplices as (first simplex, length l, sign of T^l on it)."""
+    seen = set()
+    cycles = []
+    for x in c.simplices:
+        if x in seen:
+            continue
+        y, length, sign = x, 0, 1
+        while y not in seen:  # T permutes the simplices, so this stops back at x
+            seen.add(y)
+            y, s = map_simplex(t, y, c.host.position)
+            length, sign = length + 1, sign * s
+        cycles.append((x, length, sign))
+    return cycles
+
+
+def lefschetz_oracle(ops, t):
+    """(traces, Lefschetz number, fixed simplices) of T, walked one simplex at a time.
+
+    The oracle for morphisms.lefschetz, which reads all of it from array
+    passes: each trace is np.trace(h.T @ P @ h) with the same P and h, so
+    the two agree bit for bit.
+    """
+    traces = []
+    for k in range(len(ops.complex.strata)):
+        basis = harmonic_basis(ops, k)
+        if basis:
+            h = np.column_stack([b.values for b in basis])
+            traces.append(float(np.trace(h.T @ pullback_matrix(ops, t, k) @ h)))
+        else:
+            traces.append(0.0)
+    fixed = tuple((x, (-1) ** (len(x) - 1) * sign)
+                  for x, length, sign in simplex_cycles(ops.complex, t) if length == 1)
+    return tuple(traces), sum(i for _, i in fixed), fixed
+
+
+def lefschetz_zeta_oracle(ops, t, z):
+    """The closed-form Lefschetz zeta of T from simplex_cycles, factor by factor."""
+    exponents = Counter()
+    for x, length, sign in simplex_cycles(ops.complex, t):
+        e = (-1) ** len(x)
+        if sign < 0:
+            exponents[2 * length] += e
+            e = -e
+        exponents[length] += e
+    value = 1 + 0j
+    for m, e in sorted(exponents.items()):
+        value *= (1 - z ** m) ** e
+    return value
 
 
 def lefschetz_zeta_power_loop(ops, t, z, order=40):

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +294,32 @@ def test_lefschetz_command(tmp_path, capsys):
     assert values == [0, 0, 0, 0, 0, 2, 2, 2, 2, 2]
 
 
+def test_lefschetz_on_the_petersen_graph(tmp_path, capsys):
+    # 10 vertices, the automorphism cap; 120 automorphisms, v = 25, chi = -5
+    edges = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    path = tmp_path / "petersen.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run(capsys, "lefschetz", str(path), "--z", "0.3", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["count"] == len({tuple(e["permutation"]) for e in report["automorphisms"]}) == 120
+    ops = dg.operators_for(SimpleGraph(range(10), edges))
+    assert ops.v == 25
+    for e in report["automorphisms"]:
+        assert e["lefschetz"] == sum(x["index"] for x in e["fixedSimplices"])
+        assert e["lefschetz"] == round(sum((-1) ** k * tr for k, tr in enumerate(e["traces"])))
+        # the batched entry equals the one-map calls, rendered alike
+        t = dict(zip(range(10), e["permutation"]))
+        rep = dg.lefschetz(ops, t)
+        one = {"permutation": e["permutation"], "lefschetz": rep.lefschetz, "traces": rep.traces,
+               "fixedSimplices": [{"simplex": x, "index": i} for x, i in rep.fixed_simplices],
+               "zeta": dg.lefschetz_zeta(ops, t, 0.3)}
+        assert json.loads(canonical_json(one)) == e
+    identity = [e for e in report["automorphisms"] if e["permutation"] == list(range(10))]
+    assert [e["lefschetz"] for e in identity] == [-5]
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("1 2\nnope\n")
@@ -368,6 +398,28 @@ def test_out_of_memory_exits_capacity(example_file, capsys, monkeypatch):
     code, out, err = run(capsys, "cohomology", example_file)
     assert (code, out) == (3, "")
     assert err == "capacity error: out of memory in cohomology\n"
+
+
+def test_out_of_address_space_exits_capacity(tmp_path):
+    # a real allocation failure, not a patched one: cohomology on ER(1500, .02)
+    # in a child whose address space is capped at 1 GiB (set in preexec_fn, so
+    # only the child is limited) reports, or exits 3 with one stderr line
+    g = erdos_renyi(1500, 0.02, random.Random(1))
+    path = tmp_path / "er1500.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(dg.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-m", "diracgraph.cli", "cohomology", str(path)],
+                           capture_output=True, text=True, timeout=300, preexec_fn=limit,
+                           env={**os.environ, "PYTHONPATH": src})
+    if child.returncode == 0:
+        assert child.stdout.startswith("v     :") and child.stderr == ""
+    else:
+        assert (child.returncode, child.stdout) == (3, ""), child.stderr
+        assert child.stderr.startswith("capacity error:") and child.stderr.count("\n") == 1
 
 
 def test_exit_code_internal_error(example_file, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from diracgraph import (
     lefschetz,
     lefschetz_zeta,
     operators_for,
+    simplex_action,
 )
 from conftest import automorphisms_brute, erdos_renyi, trace_lefschetz
 
@@ -167,3 +168,32 @@ def test_lefschetz_zeta_validation(example_ops):
     ident = {v: v for v in example_ops.complex.host.vertices}
     with pytest.raises(ValueError):
         lefschetz_zeta(example_ops, ident, 1.5)
+
+
+@pytest.mark.parametrize("t, message", [
+    ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, r"sends simplex \(1, 5\) to \(2, 5\), which is not a simplex"),
+    ({1: 1, 2: 1, 3: 3, 4: 4, 5: 5}, "not a bijection: more than one vertex goes to 1"),
+    ({1: 1, 2: 2, 3: 3, 4: 4}, "not defined on vertex 5"),
+    ({1: 1, 2: 2, 3: 3, 4: 4, 5: 6}, "sends vertex 5 to 6, which is not a vertex"),
+    ({1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}, "defined on 6, which is not a vertex"),
+], ids=["transposition", "not injective", "missing vertex", "image off the graph", "extra vertex"])
+def test_non_automorphisms_are_rejected(t, message):
+    ops = operators_for(SimpleGraph.cycle(5))
+    for call in (lambda: lefschetz(ops, t), lambda: lefschetz_zeta(ops, t, 0.3),
+                 lambda: induced_cohomology_map(ops, t, 1), lambda: induced_cohomology_map(ops, t, 2)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_simplex_action_on_c5_reflection():
+    # 1 -> 1, 2 <-> 5, 3 <-> 4 fixes the edge (3, 4) with its orientation reversed
+    c = build_complex(SimpleGraph.cycle(5))
+    action = simplex_action(c, [C5_REFLECTION, C5_ROTATION])
+    edges = c.strata[1]  # (1, 2), (1, 5), (2, 3), (3, 4), (4, 5)
+    assert action.count == 2
+    assert action.images[0].tolist() == [[0, 4, 3, 2, 1], [1, 2, 3, 4, 0]]
+    assert [edges[i] for i in action.images[1][0]] == [(1, 5), (1, 2), (4, 5), (3, 4), (2, 3)]
+    assert action.signs[1][0].tolist() == [1, 1, -1, -1, -1]
+    assert [edges[i] for i in action.images[1][1]] == [(2, 3), (1, 2), (3, 4), (4, 5), (1, 5)]
+    assert action.signs[1][1].tolist() == [1, -1, 1, 1, -1]
+    assert (action.signs[0] == 1).all()

@@ -5,16 +5,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracgraph import (
     ComputationError,
+    LefschetzReport,
     SimpleGraph,
     aligned_dirac_pair,
     automorphisms,
     build_complex,
     charpoly_int,
+    compose,
     contract,
     curvature,
     curvature_vector,
@@ -23,11 +25,15 @@ from diracgraph import (
     eta,
     is_geometric,
     lax_deform,
+    lefschetz,
+    lefschetz_reports,
     lefschetz_zeta,
+    lefschetz_zetas,
     max_simplex_degree,
     operators_for,
     path_count,
     poincare_hopf,
+    simplex_action,
     simplex_graph_trees,
     spectral_distance,
 )
@@ -37,6 +43,8 @@ from conftest import (
     complete_dirac_pair,
     faddeev_leverrier_charpoly,
     index_expectation_brute,
+    lefschetz_oracle,
+    lefschetz_zeta_oracle,
     lefschetz_zeta_power_loop,
     octahedron,
     simplex_graph_trees_exact,
@@ -194,6 +202,30 @@ def test_lefschetz_zeta_matches_every_power_loop(g, data):
     # at order 60 the series' tail is below 1e-14 of its value
     assert lefschetz_zeta(ops, t, z) == pytest.approx(lefschetz_zeta_power_loop(ops, t, z, 60),
                                                      rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(max_n=8), st.one_of(st.floats(-0.95, 0.95), st.complex_numbers(max_magnitude=0.95)))
+def test_batched_lefschetz_data_match_the_simplex_walk(g, z):
+    # graphs with large groups (K_8, the empty graph) would take seconds here
+    maps = automorphisms(g)
+    assume(len(maps) <= 96)
+    ops = operators_for(g)
+    action = simplex_action(ops.complex, maps)
+    for t, rep, zt in zip(maps, lefschetz_reports(ops, action), lefschetz_zetas(action, z)):
+        assert rep == LefschetzReport(*lefschetz_oracle(ops, t)) == lefschetz(ops, t)
+        assert zt == lefschetz_zeta_oracle(ops, t, z) == lefschetz_zeta(ops, t, z)
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs(max_n=8), st.data())
+def test_action_of_a_composition_composes(g, data):
+    maps = automorphisms(g)
+    t, s = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+    action = simplex_action(build_complex(g), [t, s, compose(t, s)])
+    for image, sign in zip(action.images, action.signs):
+        assert (image[2] == image[0][image[1]]).all()
+        assert (sign[2] == sign[1] * sign[0][image[1]]).all()
 
 
 @PROPERTY_SETTINGS
